@@ -40,14 +40,30 @@ for arg in "$@"; do
   esac
 done
 
+# The run ends with one summary line per leg: ran, skipped by flag, or
+# skipped because its tool is missing. It prints on failure too, where the
+# failed leg and every later one read "did not finish".
+legs=(tier-1 plan-lint tsa tidy bench server-smoke tsan asan ubsan)
+declare -A leg_status
+for leg in "${legs[@]}"; do leg_status[$leg]="did not finish"; done
+print_leg_summary() {
+  echo "==> leg summary"
+  for leg in "${legs[@]}"; do
+    printf '  %-12s %s\n' "$leg" "${leg_status[$leg]}"
+  done
+}
+trap print_leg_summary EXIT
+
 echo "==> tier-1: build (-Werror) + ctest"
 cmake -B build -S . -DLIGHT_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+leg_status[tier-1]=ran
 
 echo "==> plan linter: catalog sweep (strict)"
 ./build/tools/plan_lint --all --strict
 ./build/tools/plan_lint --all --strict --algo se
+leg_status[plan-lint]=ran
 
 if [[ "$skip_tsa" -eq 0 ]]; then
   if command -v clang++ >/dev/null 2>&1; then
@@ -63,9 +79,13 @@ if [[ "$skip_tsa" -eq 0 ]]; then
     cmake --build build-tsa -j "$(nproc)" \
       --target light_common light_obs light_storage light_parallel \
       light_facade light_net
+    leg_status[tsa]=ran
   else
     echo "==> clang++ not installed; skipping thread-safety-analysis leg" >&2
+    leg_status[tsa]="skipped: clang++ not installed"
   fi
+else
+  leg_status[tsa]="skipped by --skip-tsa"
 fi
 
 if [[ "$skip_tidy" -eq 0 ]]; then
@@ -77,9 +97,13 @@ if [[ "$skip_tidy" -eq 0 ]]; then
     mapfile -t tidy_sources < <(ls src/*/*.cc src/*.cc tools/*.cc bench/*.cc \
                                   2>/dev/null)
     clang-tidy -p build --quiet "${tidy_sources[@]}"
+    leg_status[tidy]=ran
   else
     echo "==> clang-tidy not installed; skipping tidy leg" >&2
+    leg_status[tidy]="skipped: clang-tidy not installed"
   fi
+else
+  leg_status[tidy]="skipped by --skip-tidy"
 fi
 
 if [[ "$skip_bench" -eq 0 ]]; then
@@ -119,6 +143,9 @@ assert report["pool"]["plan_cache_hits"] >= 2  # triangle + P1 resubmitted
 print("session report OK: 5 lifecycle records, nonzero queue-wait/execute "
       "histograms, plan-cache hits visible")
 EOF
+  leg_status[bench]=ran
+else
+  leg_status[bench]="skipped by --skip-bench"
 fi
 
 echo "==> server smoke: deadline + overload + clean shutdown over loopback"
@@ -184,6 +211,7 @@ print(f"server smoke OK: {fixed['queries']} fixed queries "
       f"{sat['overload_rejected']} overload-rejected under saturation, "
       f"clean shutdown with zero leaked queries")
 EOF
+leg_status[server-smoke]=ran
 
 if [[ "$skip_tsan" -eq 0 ]]; then
   echo "==> TSan: parallel + obs + session + net + concurrency tests"
@@ -242,6 +270,9 @@ if [[ "$skip_tsan" -eq 0 ]]; then
     exit 1
   }
   echo "TSan soak OK: saturating loopback traffic, clean drain on SIGTERM"
+  leg_status[tsan]=ran
+else
+  leg_status[tsan]="skipped by --skip-tsan"
 fi
 
 if [[ "$skip_asan" -eq 0 ]]; then
@@ -260,6 +291,9 @@ if [[ "$skip_asan" -eq 0 ]]; then
   # mmap lifetime + header parsing on hostile files: the leg most likely to
   # catch an out-of-bounds section read or a leaked mapping.
   ./build-asan/tests/storage_test
+  leg_status[asan]=ran
+else
+  leg_status[asan]="skipped by --skip-asan"
 fi
 
 if [[ "$skip_ubsan" -eq 0 ]]; then
@@ -350,6 +384,9 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke performed no lock-rank checks (checker dark?)" >&2
     exit 1
   fi
+  leg_status[ubsan]=ran
+else
+  leg_status[ubsan]="skipped by --skip-ubsan"
 fi
 
 echo "==> verify OK"

@@ -1,5 +1,8 @@
 #include "graph/graph_io.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -240,10 +243,21 @@ Status SaveStoreFile(const Graph& graph, const std::string& path,
                                    " does not match " + std::to_string(n) +
                                    " vertices");
   }
-  FilePtr file(std::fopen(path.c_str(), "wb"));
+  // Write a fresh file next to `path` and rename it over the target: a store
+  // still serving the old snapshot through mmap keeps its (now unlinked)
+  // inode, where truncating the file in place would SIGBUS its next read.
+  static std::atomic<uint64_t> temp_counter{0};
+  const std::string temp_path = path + ".tmp." + std::to_string(::getpid()) +
+                                "." + std::to_string(temp_counter++);
+  FilePtr file(std::fopen(temp_path.c_str(), "wbx"));
   if (file == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
+    return Status::IOError("cannot open " + temp_path + " for writing");
   }
+  const auto fail = [&](const std::string& message) {
+    file.reset();
+    std::remove(temp_path.c_str());
+    return Status::IOError(message);
+  };
   const uint64_t slots = graph.NeighborsSpan().size();
   const uint64_t offsets_off = kLcsr2HeaderBytes;
   const uint64_t neighbors_off =
@@ -298,9 +312,15 @@ Status SaveStoreFile(const Graph& graph, const std::string& path,
       ok = std::fwrite(labels->data(), sizeof(uint32_t), n, file.get()) == n;
     }
   }
-  if (!ok) return Status::IOError("short write to " + path);
-  if (std::fflush(file.get()) != 0) {
-    return Status::IOError("flush failed for " + path);
+  if (!ok) return fail("short write to " + temp_path);
+  if (std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
+    return fail("flush failed for " + temp_path);
+  }
+  if (std::fclose(file.release()) != 0) {
+    return fail("close failed for " + temp_path);
+  }
+  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
+    return fail("cannot rename " + temp_path + " to " + path);
   }
   return Status::OK();
 }

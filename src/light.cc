@@ -49,88 +49,60 @@ void FillReportContext(const GraphView& graph, const ExecutionPlan& plan,
   obs::SnapshotCounters(report);
 }
 
-// The deprecated flat shims are folded here, the one place allowed to
-// read them during their sunset release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-/// The plan options a RunOptions resolves to: each engaged flat shim wins
-/// over the corresponding plan_options field, and unique_subgraphs is
-/// authoritative for symmetry breaking.
-PlanOptions FoldPlanOptions(const RunOptions& opts) {
-  PlanOptions out = opts.plan_options;
-  if (opts.lazy_materialization) {
-    out.lazy_materialization = *opts.lazy_materialization;
+/// Lints `plan` against `pattern` plus the session's bitmap configuration.
+/// The linter checks the wiring vertex by vertex, so a cached plan is
+/// checked against the numbering it was built for (plan.pattern, its first
+/// submitter's), not a later query's. `stats`, when given, arms the
+/// cardinality rules. On an error-severity finding returns false with
+/// *error = `what` + " lint failed:" and the diagnostics.
+bool LintSessionPlan(const Pattern& pattern, const ExecutionPlan& plan,
+                     const GraphStats* stats,
+                     const PlanOptions& session_options, const char* what,
+                     std::string* error) {
+  obs::TraceSpan span("plan_lint");
+  analysis::LintOptions lint_options;
+  if (stats != nullptr) {
+    lint_options.cardinality = analysis::AnalyticCardinalityFn(*stats);
   }
-  if (opts.minimum_set_cover) out.minimum_set_cover = *opts.minimum_set_cover;
-  if (opts.induced) out.induced = *opts.induced;
-  if (opts.kernel) out.kernel = *opts.kernel;
-  if (opts.auto_kernel) out.auto_kernel = *opts.auto_kernel;
-  if (opts.bitmap_min_degree) out.bitmap_min_degree = *opts.bitmap_min_degree;
-  if (opts.bitmap_density) out.bitmap_density = *opts.bitmap_density;
-  if (opts.bitmap_max_bytes) out.bitmap_max_bytes = *opts.bitmap_max_bytes;
-  out.symmetry_breaking = opts.unique_subgraphs;
-  return out;
+  analysis::LintReport report =
+      analysis::LintPlan(pattern, plan, lint_options);
+  analysis::LintBitmapConfig(session_options.bitmap_min_degree,
+                             session_options.bitmap_density,
+                             session_options.bitmap_max_bytes, &report);
+  if (report.ok()) return true;
+  *error = std::string(what) + " lint failed:\n" + report.ToString();
+  return false;
 }
 
-void ClearPlanOptionShims(RunOptions* opts) {
-  opts->lazy_materialization.reset();
-  opts->minimum_set_cover.reset();
-  opts->induced.reset();
-  opts->kernel.reset();
-  opts->auto_kernel.reset();
-  opts->bitmap_min_degree.reset();
-  opts->bitmap_density.reset();
-  opts->bitmap_max_bytes.reset();
-}
-
-PlanOptions FoldSessionPlanOptions(const SessionOptions& opts) {
-  PlanOptions out = opts.plan_options;
-  if (opts.bitmap_min_degree) out.bitmap_min_degree = *opts.bitmap_min_degree;
-  if (opts.bitmap_density) out.bitmap_density = *opts.bitmap_density;
-  if (opts.bitmap_max_bytes) out.bitmap_max_bytes = *opts.bitmap_max_bytes;
-  return out;
-}
-
-void ClearSessionPlanOptionShims(SessionOptions* opts) {
-  opts->bitmap_min_degree.reset();
-  opts->bitmap_density.reset();
-  opts->bitmap_max_bytes.reset();
-}
-
-#pragma GCC diagnostic pop
-
-/// The session plan builder: samples the resident graph when one exists,
-/// else (paged stores) the pure analytic model over the same stats.
-ExecutionPlan BuildSessionPlan(const Graph* graph, const GraphStats& stats,
-                               const Pattern& pattern,
-                               const RunOptions& options) {
-  const RunOptions opts = options.Normalized();
-  if (graph != nullptr) {
-    return BuildPlan(pattern, *graph, stats, opts.plan_options);
+/// Runs `plan` inline on the calling thread (streaming to opts.visitor
+/// when set, else counting) with the wall-clock budget left since
+/// `admit_ns`: plan resolution already consumed part of it, so the limit a
+/// query observes is true wall clock from entry, matching the pool path.
+/// Returns the engine stats; their num_matches is the count.
+EngineStats RunInline(const GraphView& view, const ExecutionPlan& plan,
+                      const RunOptions& opts, const BitmapIndex& bitmap,
+                      uint64_t admit_ns) {
+  Enumerator enumerator(view, plan, opts.data_labels);
+  enumerator.SetBitmapIndex(&bitmap);
+  double limit = Limit(opts.time_limit_seconds);
+  if (std::isfinite(limit)) {
+    limit -= static_cast<double>(MonotonicNs() - admit_ns) * 1e-9;
   }
-  return BuildPlan(pattern, stats, opts.plan_options);
+  enumerator.SetTimeLimit(limit);
+  if (opts.visitor != nullptr) {
+    enumerator.Enumerate(opts.visitor);
+  } else {
+    enumerator.Count();
+  }
+  return enumerator.stats();
 }
+
+/// Retention of the per-query lifecycle log and of the slow/stuck-query
+/// log (oldest entries evicted beyond these).
+constexpr size_t kQueryLogCapacity = 1024;
+constexpr size_t kSlowQueryLogCapacity = 64;
 
 }  // namespace
-
-// Out-of-line defaulted special members (see light.h): keeps the
-// deprecated-shim warnings out of every copy/move site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-RunOptions::RunOptions() = default;
-RunOptions::RunOptions(const RunOptions&) = default;
-RunOptions::RunOptions(RunOptions&&) noexcept = default;
-RunOptions& RunOptions::operator=(const RunOptions&) = default;
-RunOptions& RunOptions::operator=(RunOptions&&) noexcept = default;
-RunOptions::~RunOptions() = default;
-SessionOptions::SessionOptions() = default;
-SessionOptions::SessionOptions(const SessionOptions&) = default;
-SessionOptions::SessionOptions(SessionOptions&&) noexcept = default;
-SessionOptions& SessionOptions::operator=(const SessionOptions&) = default;
-SessionOptions& SessionOptions::operator=(SessionOptions&&) noexcept = default;
-SessionOptions::~SessionOptions() = default;
-#pragma GCC diagnostic pop
 
 Status RunOptions::Validate() const {
   if (threads < 0) {
@@ -145,7 +117,7 @@ Status RunOptions::Validate() const {
         "streaming visitor requires threads <= 1: parallel enumeration "
         "with a visitor is unsupported");
   }
-  return FoldPlanOptions(*this).Validate();
+  return plan_options.Validate();
 }
 
 RunOptions RunOptions::Normalized() const {
@@ -157,15 +129,14 @@ RunOptions RunOptions::Normalized() const {
   if (std::isnan(o.time_limit_seconds) || o.time_limit_seconds < 0) {
     o.time_limit_seconds = 0;
   }
-  o.plan_options = FoldPlanOptions(o).Normalized();
-  ClearPlanOptionShims(&o);
+  o.plan_options.symmetry_breaking = o.unique_subgraphs;
+  o.plan_options = o.plan_options.Normalized();
   return o;
 }
 
 SessionOptions SessionOptions::Normalized() const {
   SessionOptions o = *this;
-  o.plan_options = FoldSessionPlanOptions(o).Normalized();
-  ClearSessionPlanOptionShims(&o);
+  o.plan_options = o.plan_options.Normalized();
   return o;
 }
 
@@ -300,7 +271,6 @@ struct SessionQueryState {
     }
     finalized = true;
     session->RecordQueryDone(result, pattern, plan);
-    session->OnResultDelivered();
     if (callback) {
       // Fire under the state lock: the callback sees the final result and
       // a second finalize attempt can never overtake it.
@@ -458,93 +428,70 @@ void Session::OnResultDelivered() {
   if (obs::MetricsEnabled()) obs_queries_completed_->Inc();
 }
 
-std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
-    const Pattern& pattern, const RunOptions& opts, std::string* error,
-    bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  // Lint against the pattern the plan was built for: the linter checks the
-  // plan's wiring vertex-by-vertex, so a cached plan is checked against the
-  // numbering it was built for (the first submitter's), not this query's.
-  const auto lint = [&](const Pattern& plan_pattern, const ExecutionPlan& plan,
-                        const GraphStats* stats) -> bool {
-    obs::TraceSpan span("plan_lint");
-    analysis::LintOptions lint_options;
-    if (stats != nullptr) {
-      lint_options.cardinality = analysis::AnalyticCardinalityFn(*stats);
-    }
-    analysis::LintReport report =
-        analysis::LintPlan(plan_pattern, plan, lint_options);
-    analysis::LintBitmapConfig(options_.plan_options.bitmap_min_degree,
-                               options_.plan_options.bitmap_density,
-                               options_.plan_options.bitmap_max_bytes, &report);
-    if (!report.ok()) {
-      *error = "plan lint failed:\n" + report.ToString();
-      return false;
-    }
-    return true;
-  };
-
-  const bool cache_enabled =
-      options_.plan_cache_capacity > 0 && opts.visitor == nullptr;
-  if (!cache_enabled) {
-    // One-shot regime (what light::Run uses, and every visitor query):
-    // build a plan for the submitted numbering, no canonicalization.
-    const GraphStats& stats = EnsureStats();
-    auto plan = std::make_shared<ExecutionPlan>([&] {
-      obs::TraceSpan span("build_plan");
-      return BuildSessionPlan(graph_ptr_, stats, pattern, opts);
-    }());
-    if (opts.lint_plan && !lint(pattern, *plan, &stats)) return nullptr;
-    return plan;
-  }
-
-  // Two patterns share a cached plan only when canonical shape AND the
-  // plan-shaping options agree (unique_subgraphs is already folded into
-  // plan_options.symmetry_breaking by Normalized, so CacheKey covers it).
-  const CanonicalForm form = Canonicalize(pattern);
-  std::string key = form.Key();
-  key += opts.plan_options.CacheKey();
-
-  bool hit = false;
-  bool linted = false;
-  std::shared_ptr<const ExecutionPlan> plan;
-  Pattern plan_pattern;  // the numbering the cached plan was built for
-  {
-    MutexLock lock(cache_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      it->second.last_used = ++cache_tick_;
-      hit = true;
-      linted = it->second.linted;
-      plan = it->second.plan;
-      plan_pattern = it->second.pattern;
-    }
-  }
-
-  if (hit) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    {
-      MutexLock lock(stats_mutex_);
-      ++session_stats_.plan_cache_hits;
-    }
-    if (obs::MetricsEnabled()) obs_cache_hits_->Inc();
-    if (opts.lint_plan && !linted) {
-      // Inserted by a lint-off query; this query wants the gate. Lint now
-      // and remember so the check runs at most once per entry.
-      const GraphStats& stats = EnsureStats();
-      if (!lint(plan_pattern, *plan, &stats)) return nullptr;
-      MutexLock lock(cache_mutex_);
-      auto it = plan_cache_.find(key);
-      if (it != plan_cache_.end()) it->second.linted = true;
-    }
-    return plan;
-  }
-
+uint64_t Session::Admit(uint64_t* query_id) {
+  *query_id = obs::NextQueryId();
   {
     MutexLock lock(stats_mutex_);
-    ++session_stats_.plan_cache_misses;
+    ++session_stats_.queries_submitted;
   }
-  if (obs::MetricsEnabled()) obs_cache_misses_->Inc();
+  if (obs::MetricsEnabled()) obs_queries_started_->Inc();
+  return MonotonicNs();
+}
+
+const ExecutionPlan* Session::ResolvePlan(
+    const Pattern& pattern, const RunOptions& opts,
+    std::shared_ptr<const ExecutionPlan>* holder, std::string* error,
+    bool* cache_hit) {
+  if (opts.plan != nullptr) {
+    // Caller-supplied plan: no caching; structural lint only (no stats).
+    if (opts.lint_plan &&
+        !LintSessionPlan(pattern, *opts.plan, nullptr, options_.plan_options,
+                         "plan", error)) {
+      return nullptr;
+    }
+    return opts.plan;
+  }
+
+  // One-shot regime (what light::Run uses, and every visitor query) skips
+  // the cache: it builds a plan for the submitted numbering, with no
+  // canonicalization.
+  const bool cached =
+      options_.plan_cache_capacity > 0 && opts.visitor == nullptr;
+  std::string key;
+  if (cached) {
+    // Two patterns share a cached plan only when canonical shape AND the
+    // plan-shaping options agree (unique_subgraphs is already folded into
+    // plan_options.symmetry_breaking by Normalized, so CacheKey covers it).
+    key = Canonicalize(pattern).Key();
+    key += opts.plan_options.CacheKey();
+    bool linted = false;
+    *holder = CacheLookup(key, &linted);
+    if (*holder != nullptr) {
+      *cache_hit = true;
+      {
+        MutexLock lock(stats_mutex_);
+        ++session_stats_.plan_cache_hits;
+      }
+      if (obs::MetricsEnabled()) obs_cache_hits_->Inc();
+      if (opts.lint_plan && !linted) {
+        // Inserted by a lint-off query; this query wants the gate. Lint now
+        // and remember so the check runs at most once per entry.
+        const GraphStats& stats = EnsureStats();
+        const ExecutionPlan& plan = **holder;
+        if (!LintSessionPlan(plan.pattern, plan, &stats,
+                             options_.plan_options, "plan", error)) {
+          return nullptr;
+        }
+        CacheInsert(std::move(key), *holder, /*linted=*/true);
+      }
+      return holder->get();
+    }
+    {
+      MutexLock lock(stats_mutex_);
+      ++session_stats_.plan_cache_misses;
+    }
+    if (obs::MetricsEnabled()) obs_cache_misses_->Inc();
+  }
 
   // Build + lint outside the cache lock (both are the expensive part, and
   // concurrent misses of the same key must not serialize on it). The plan
@@ -552,41 +499,57 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
   // would produce — not the canonical form: plan quality is numbering-
   // sensitive (symmetry-breaking constraint placement), while the count is
   // isomorphism-invariant, so the first submitter's plan safely serves
-  // every later renumbering that hits this key.
+  // every later renumbering that hits this key. A resident graph is
+  // sampled; paged stores fall back to the pure analytic model.
   const GraphStats& stats = EnsureStats();
-  auto built = std::make_shared<ExecutionPlan>([&] {
-    obs::TraceSpan span("build_plan");
-    return BuildSessionPlan(graph_ptr_, stats, pattern, opts);
-  }());
-  if (opts.lint_plan && !lint(pattern, *built, &stats)) return nullptr;
-
   {
-    MutexLock lock(cache_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      // Lost an insert race: exactly one entry per key — keep the winner's
-      // plan (this query still runs its own identical build).
-      it->second.last_used = ++cache_tick_;
-    } else {
-      PlanEntry entry;
-      entry.plan = built;
-      entry.pattern = pattern;
-      entry.linted = opts.lint_plan;
-      entry.last_used = ++cache_tick_;
-      plan_cache_.emplace(std::move(key), std::move(entry));
-      while (plan_cache_.size() > options_.plan_cache_capacity) {
-        auto victim = plan_cache_.begin();
-        for (auto walk = plan_cache_.begin(); walk != plan_cache_.end();
-             ++walk) {
-          if (walk->second.last_used < victim->second.last_used) {
-            victim = walk;
-          }
-        }
-        plan_cache_.erase(victim);  // in-flight queries hold shared_ptrs
-      }
-    }
+    obs::TraceSpan span("build_plan");
+    *holder = std::make_shared<const ExecutionPlan>(
+        graph_ptr_ != nullptr
+            ? BuildPlan(pattern, *graph_ptr_, stats, opts.plan_options)
+            : BuildPlan(pattern, stats, opts.plan_options));
   }
-  return built;
+  if (opts.lint_plan && !LintSessionPlan(pattern, **holder, &stats,
+                                         options_.plan_options, "plan",
+                                         error)) {
+    return nullptr;
+  }
+  if (cached) CacheInsert(std::move(key), *holder, opts.lint_plan);
+  return holder->get();
+}
+
+std::shared_ptr<const ExecutionPlan> Session::CacheLookup(
+    const std::string& key, bool* linted) {
+  MutexLock lock(cache_mutex_);
+  auto it = plan_cache_.find(key);
+  if (it == plan_cache_.end()) return nullptr;
+  it->second.last_used = ++cache_tick_;
+  if (linted != nullptr) *linted = it->second.linted;
+  return it->second.plan;
+}
+
+void Session::CacheInsert(std::string key,
+                          std::shared_ptr<const ExecutionPlan> plan,
+                          bool linted) {
+  MutexLock lock(cache_mutex_);
+  auto [it, inserted] = plan_cache_.try_emplace(std::move(key));
+  it->second.last_used = ++cache_tick_;
+  if (!inserted) {
+    // Exactly one entry per key: a lost insert race keeps the winner's
+    // plan (this query still runs its own identical build). Re-inserting
+    // the entry's own plan is ResolvePlan's lint-once upgrade.
+    if (it->second.plan == plan) it->second.linted |= linted;
+    return;
+  }
+  it->second.plan = std::move(plan);
+  it->second.linted = linted;
+  while (plan_cache_.size() > options_.plan_cache_capacity) {
+    auto victim = plan_cache_.begin();
+    for (auto walk = plan_cache_.begin(); walk != plan_cache_.end(); ++walk) {
+      if (walk->second.last_used < victim->second.last_used) victim = walk;
+    }
+    plan_cache_.erase(victim);  // in-flight queries hold shared_ptrs
+  }
 }
 
 Session::Ticket Session::SubmitInternal(
@@ -597,13 +560,7 @@ Session::Ticket Session::SubmitInternal(
   state->tool = tool;
   state->report = options.report;
   state->pattern = pattern;
-  state->query_id = obs::NextQueryId();
-  state->admit_ns = MonotonicNs();
-  {
-    MutexLock lock(stats_mutex_);
-    ++session_stats_.queries_submitted;
-  }
-  if (obs::MetricsEnabled()) obs_queries_started_->Inc();
+  state->admit_ns = Admit(&state->query_id);
 
   // Pre-execution failures resolve inline: the ticket is born finalized
   // enough for Wait, and an async callback fires before returning.
@@ -631,29 +588,10 @@ Session::Ticket Session::SubmitInternal(
   state->time_limit_seconds = opts.time_limit_seconds;
 
   const uint64_t plan_start_ns = MonotonicNs();
-  const ExecutionPlan* plan = opts.plan;
-  if (plan != nullptr) {
-    // Caller-supplied plan: no caching; structural lint only (no stats).
-    if (opts.lint_plan) {
-      obs::TraceSpan span("plan_lint");
-      analysis::LintReport lint =
-          analysis::LintPlan(pattern, *plan, analysis::LintOptions{});
-      analysis::LintBitmapConfig(options_.plan_options.bitmap_min_degree,
-                                 options_.plan_options.bitmap_density,
-                                 options_.plan_options.bitmap_max_bytes, &lint);
-      if (!lint.ok()) {
-        return immediate_error("plan lint failed:\n" + lint.ToString());
-      }
-    }
-  } else {
-    std::string error;
-    state->plan_holder =
-        ResolvePlan(pattern, opts, &error, &state->plan_cache_hit);
-    if (state->plan_holder == nullptr) {
-      return immediate_error(std::move(error));
-    }
-    plan = state->plan_holder.get();
-  }
+  std::string error;
+  const ExecutionPlan* plan = ResolvePlan(
+      pattern, opts, &state->plan_holder, &error, &state->plan_cache_hit);
+  if (plan == nullptr) return immediate_error(std::move(error));
   state->plan = plan;
   state->plan_ns = MonotonicNs() - plan_start_ns;
 
@@ -756,53 +694,25 @@ RunResult Session::RunSerial(const Pattern& pattern, const RunOptions& opts,
                              const char* tool) {
   RunResult result;
   obs::QueryStats& qstats = result.query_stats;
-  qstats.query_id = obs::NextQueryId();
-  const uint64_t admit_ns = MonotonicNs();
-
-  const ExecutionPlan* plan = opts.plan;
+  const uint64_t admit_ns = Admit(&qstats.query_id);
   std::shared_ptr<const ExecutionPlan> holder;
+  const ExecutionPlan* plan = ResolvePlan(pattern, opts, &holder,
+                                          &result.error, &qstats.plan_cache_hit);
   if (plan == nullptr) {
-    std::string error;
-    holder = ResolvePlan(pattern, opts, &error, &qstats.plan_cache_hit);
-    if (holder == nullptr) {
-      result.error = std::move(error);
-      result.outcome = QueryOutcome::kError;
-      return result;
-    }
-    plan = holder.get();
-  } else if (opts.lint_plan) {
-    obs::TraceSpan span("plan_lint");
-    analysis::LintReport lint =
-        analysis::LintPlan(pattern, *plan, analysis::LintOptions{});
-    analysis::LintBitmapConfig(options_.plan_options.bitmap_min_degree,
-                               options_.plan_options.bitmap_density,
-                               options_.plan_options.bitmap_max_bytes, &lint);
-    if (!lint.ok()) {
-      result.error = "plan lint failed:\n" + lint.ToString();
-      result.outcome = QueryOutcome::kError;
-      return result;
-    }
+    result.outcome = QueryOutcome::kError;
+    OnResultDelivered();
+    return result;
   }
   qstats.plan_ns = MonotonicNs() - admit_ns;
 
   const BitmapIndex& bitmap = EnsureBitmap();
-  Enumerator enumerator(view_, *plan, opts.data_labels);
-  enumerator.SetBitmapIndex(&bitmap);
-  // The budget is anchored at admit: plan resolution above already
-  // consumed part of it, so the limit a query observes is true wall clock
-  // from entry, matching the pool path. (Serial OOT keeps the classic
-  // timed_out-no-error contract; see RunOptions::time_limit_seconds.)
-  double limit = Limit(opts.time_limit_seconds);
-  if (std::isfinite(limit)) {
-    limit -= static_cast<double>(MonotonicNs() - admit_ns) * 1e-9;
-  }
-  enumerator.SetTimeLimit(limit);
   const uint64_t exec_start_ns = MonotonicNs();
-  result.num_matches = opts.visitor != nullptr
-                           ? enumerator.Enumerate(opts.visitor)
-                           : enumerator.Count();
-  result.elapsed_seconds = enumerator.stats().elapsed_seconds;
-  result.timed_out = enumerator.stats().timed_out;
+  // Serial OOT keeps the classic timed_out-no-error contract; see
+  // RunOptions::time_limit_seconds.
+  const EngineStats stats = RunInline(view_, *plan, opts, bitmap, admit_ns);
+  result.num_matches = stats.num_matches;
+  result.elapsed_seconds = stats.elapsed_seconds;
+  result.timed_out = stats.timed_out;
   const uint64_t done_ns = MonotonicNs();
   // Inline execution: no scheduling wait, the caller thread is the worker.
   qstats.execute_ns = done_ns - exec_start_ns;
@@ -810,7 +720,7 @@ RunResult Session::RunSerial(const Pattern& pattern, const RunOptions& opts,
   qstats.total_ns = done_ns - admit_ns;
   qstats.ranges_executed = 1;
   if (opts.report != nullptr) {
-    FillReportContext(view_, *plan, enumerator.stats(), bitmap, opts.report);
+    FillReportContext(view_, *plan, stats, bitmap, opts.report);
     opts.report->tool = tool;
     opts.report->summary.threads_configured = 1;
     opts.report->summary.threads_used = 1;
@@ -823,87 +733,44 @@ RunResult Session::RunSerial(const Pattern& pattern, const RunOptions& opts,
 std::shared_ptr<const ExecutionPlan> Session::ResolveIepTermPlan(
     const IepTerm& term, const RunOptions& opts, const std::string& base_key,
     std::string* error) {
-  const auto lint = [&](const ExecutionPlan& plan) -> bool {
-    obs::TraceSpan span("plan_lint");
-    analysis::LintReport report =
-        analysis::LintPlan(term.pattern, plan, analysis::LintOptions{});
-    if (!report.ok()) {
-      *error = "iep term plan lint failed:\n" + report.ToString();
-      return false;
+  const bool cached = options_.plan_cache_capacity > 0;
+  std::string key;
+  if (cached) {
+    // Exact-structure key (pattern ToString + labels + tail size): unlike
+    // ResolvePlan there is no canonicalization — two isomorphic submissions
+    // with different numberings decompose differently, and their term plans
+    // must not mix.
+    key = "iep-term:" + base_key + "|" + term.pattern.ToString();
+    for (int u = 0; u < term.pattern.NumVertices(); ++u) {
+      key += ":" + std::to_string(term.pattern.Label(u));
     }
-    return true;
-  };
+    key += "|t" + std::to_string(term.counted_tail.size());
+    key += opts.plan_options.CacheKey();
+    // Exact-key entries are linted at insert when any submitter lints; the
+    // lint-once upgrade of ResolvePlan is skipped for terms.
+    if (auto plan = CacheLookup(key, nullptr)) return plan;
+  }
   const GraphStats& stats = EnsureStats();
-  const auto build = [&] {
+  std::shared_ptr<const ExecutionPlan> plan;
+  {
     obs::TraceSpan span("build_plan");
-    return BuildIepTermPlan(term, stats, graph_ptr_, opts.plan_options);
-  };
-
-  if (options_.plan_cache_capacity == 0) {
-    auto plan = std::make_shared<ExecutionPlan>(build());
-    if (opts.lint_plan && !lint(*plan)) return nullptr;
-    return plan;
+    plan = std::make_shared<const ExecutionPlan>(
+        BuildIepTermPlan(term, stats, graph_ptr_, opts.plan_options));
   }
-
-  // Exact-structure key (pattern ToString + labels + tail size): unlike
-  // ResolvePlan there is no canonicalization — two isomorphic submissions
-  // with different numberings decompose differently, and their term plans
-  // must not mix.
-  std::string key = "iep-term:" + base_key + "|" + term.pattern.ToString();
-  for (int u = 0; u < term.pattern.NumVertices(); ++u) {
-    key += ":" + std::to_string(term.pattern.Label(u));
+  if (opts.lint_plan &&
+      !LintSessionPlan(term.pattern, *plan, nullptr, options_.plan_options,
+                       "iep term plan", error)) {
+    return nullptr;
   }
-  key += "|t" + std::to_string(term.counted_tail.size());
-  key += opts.plan_options.CacheKey();
-
-  {
-    MutexLock lock(cache_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      it->second.last_used = ++cache_tick_;
-      // Exact-key entries are linted at insert when any submitter lints;
-      // the lint-once upgrade dance of ResolvePlan is skipped for terms.
-      return it->second.plan;
-    }
-  }
-  auto built = std::make_shared<ExecutionPlan>(build());
-  if (opts.lint_plan && !lint(*built)) return nullptr;
-  {
-    MutexLock lock(cache_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it == plan_cache_.end()) {
-      PlanEntry entry;
-      entry.plan = built;
-      entry.pattern = term.pattern;
-      entry.linted = opts.lint_plan;
-      entry.last_used = ++cache_tick_;
-      plan_cache_.emplace(std::move(key), std::move(entry));
-      while (plan_cache_.size() > options_.plan_cache_capacity) {
-        auto victim = plan_cache_.begin();
-        for (auto walk = plan_cache_.begin(); walk != plan_cache_.end();
-             ++walk) {
-          if (walk->second.last_used < victim->second.last_used) victim = walk;
-        }
-        plan_cache_.erase(victim);
-      }
-    } else {
-      it->second.last_used = ++cache_tick_;
-    }
-  }
-  return built;
+  if (cached) CacheInsert(std::move(key), plan, opts.lint_plan);
+  return plan;
 }
 
 RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
                           const RunOptions& opts, const char* tool) {
   RunResult result;
   obs::QueryStats& qstats = result.query_stats;
-  qstats.query_id = obs::NextQueryId();
-  const uint64_t admit_ns = MonotonicNs();
-  {
-    MutexLock lock(stats_mutex_);
-    ++session_stats_.queries_submitted;
-  }
-  if (obs::MetricsEnabled()) obs_queries_started_->Inc();
+  const uint64_t admit_ns = Admit(&qstats.query_id);
 
   // One counted-tail plan per surviving term, resolved up front so a lint
   // failure aborts before any counting work.
@@ -914,13 +781,10 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
   std::vector<std::shared_ptr<const ExecutionPlan>> plans;
   plans.reserve(dec.terms.size());
   for (const IepTerm& term : dec.terms) {
-    std::string error;
-    auto plan = ResolveIepTermPlan(term, opts, base_key, &error);
+    auto plan = ResolveIepTermPlan(term, opts, base_key, &result.error);
     if (plan == nullptr) {
-      result.error = std::move(error);
       result.outcome = QueryOutcome::kError;
       RecordQueryDone(result, pattern, nullptr);
-      OnResultDelivered();
       return result;
     }
     plans.push_back(std::move(plan));
@@ -934,20 +798,13 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
   EngineStats agg;
   if (opts.threads == 1) {
     // Inline term loop, sharing one wall-clock budget anchored at admit.
-    const double limit = Limit(opts.time_limit_seconds);
     for (size_t i = 0; i < dec.terms.size() && !timed_out; ++i) {
-      Enumerator enumerator(view_, *plans[i], opts.data_labels);
-      enumerator.SetBitmapIndex(&bitmap);
-      double remaining = limit;
-      if (std::isfinite(limit)) {
-        remaining = limit - static_cast<double>(MonotonicNs() - admit_ns) * 1e-9;
-      }
-      enumerator.SetTimeLimit(remaining);
-      const uint64_t count = enumerator.Count();
-      agg.Add(enumerator.stats());
-      timed_out = enumerator.stats().timed_out;
+      const EngineStats term =
+          RunInline(view_, *plans[i], opts, bitmap, admit_ns);
+      agg.Add(term);
+      timed_out = term.timed_out;
       total += static_cast<__int128>(dec.terms[i].coefficient) *
-               static_cast<__int128>(count);
+               static_cast<__int128>(term.num_matches);
     }
   } else {
     // Pool path: each term is its own plan-override query (the term plans
@@ -971,7 +828,6 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
         result.error = term_result.error;
         result.outcome = term_result.outcome;
         RecordQueryDone(result, pattern, plans[i].get());
-        OnResultDelivered();
         return result;
       }
       timed_out = timed_out || term_result.timed_out;
@@ -1008,7 +864,6 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
     opts.report->num_matches = result.num_matches;
   }
   RecordQueryDone(result, pattern, plans.empty() ? nullptr : plans[0].get());
-  OnResultDelivered();
   return result;
 }
 
@@ -1035,18 +890,9 @@ RunResult Session::RunSyncWithTool(const Pattern& pattern,
          dec.tail.size() >= 2);
     if (use_iep) return RunIep(pattern, dec, opts, tool);
   }
-  if (opts.threads == 1) {
-    // Serial queries run inline on the caller thread — the one-shot Run
-    // code path, with no pool involvement (and exact visitor semantics).
-    {
-      MutexLock lock(stats_mutex_);
-      ++session_stats_.queries_submitted;
-    }
-    if (obs::MetricsEnabled()) obs_queries_started_->Inc();
-    RunResult result = RunSerial(pattern, opts, tool);
-    OnResultDelivered();
-    return result;
-  }
+  // Serial queries run inline on the caller thread — the one-shot Run code
+  // path, with no pool involvement (and exact visitor semantics).
+  if (opts.threads == 1) return RunSerial(pattern, opts, tool);
   return SubmitInternal(pattern, opts, tool, nullptr).Wait();
 }
 
@@ -1149,7 +995,7 @@ void Session::RecordQueryDone(const RunResult& result, const Pattern& pattern,
   {
     MutexLock lock(log_mutex_);
     query_log_.push_back(std::move(record));
-    while (query_log_.size() > options_.query_log_capacity) {
+    while (query_log_.size() > kQueryLogCapacity) {
       query_log_.pop_front();
     }
     if (slow) {
@@ -1161,7 +1007,7 @@ void Session::RecordQueryDone(const RunResult& result, const Pattern& pattern,
       entry.latency_seconds = latency_seconds;
       entry.ranges_executed = qstats.ranges_executed;
       slow_log_.push_back(std::move(entry));
-      while (slow_log_.size() > options_.slow_query_log_capacity) {
+      while (slow_log_.size() > kSlowQueryLogCapacity) {
         slow_log_.pop_front();
       }
     }
@@ -1170,6 +1016,7 @@ void Session::RecordQueryDone(const RunResult& result, const Pattern& pattern,
     MutexLock lock(stats_mutex_);
     ++session_stats_.slow_queries;
   }
+  OnResultDelivered();
 }
 
 void Session::WatchdogMain() {
@@ -1239,7 +1086,7 @@ void Session::RecordStuckQueries(
     // the progress snapshot every window until it completes or aborts).
     if (!stuck_reported_.insert(progress.query_id).second) continue;
     slow_log_.push_back(std::move(entry));
-    while (slow_log_.size() > options_.slow_query_log_capacity) {
+    while (slow_log_.size() > kSlowQueryLogCapacity) {
       slow_log_.pop_front();
     }
     ++newly_stuck;
@@ -1359,7 +1206,7 @@ RunResult Run(const Graph& graph, const Pattern& pattern,
     return result;
   }
   // One-query session: the bitmap knobs map onto the session (through the
-  // shim-folded plan options), the plan cache is disabled (nothing to
+  // normalized plan options), the plan cache is disabled (nothing to
   // amortize across a single call), and the pool — for parallel requests —
   // is sized to the request. Serial requests run inline and never start a
   // pool, so one-shot latency is unchanged.

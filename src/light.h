@@ -19,17 +19,19 @@
 ///
 /// The pre-Run CountSubgraphs / EnumerateSubgraphs wrappers are GONE (see
 /// README "Migration"): use light::Run, passing the visitor through
-/// RunOptions::visitor. The flat plan-shaping RunOptions fields of earlier
-/// releases (lazy_materialization, minimum_set_cover, kernel, auto_kernel,
-/// induced, bitmap_*) remain for one release as deprecated std::optional
-/// shims that Normalized() folds into plan_options.
+/// RunOptions::visitor. The flat plan-shaping fields of earlier releases
+/// are removed as well; each lives only under the nested plan_options, with
+/// the same name: RunOptions::{lazy_materialization, minimum_set_cover,
+/// induced, kernel, auto_kernel, bitmap_min_degree, bitmap_density,
+/// bitmap_max_bytes} are now RunOptions::plan_options.<name>, and
+/// SessionOptions::{bitmap_min_degree, bitmap_density, bitmap_max_bytes}
+/// are now SessionOptions::plan_options.<name>.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -109,28 +111,6 @@ struct RunOptions {
   /// plan-shaping fields of plan_options are ignored.
   const ExecutionPlan* plan = nullptr;
 
-  // --- Deprecated flat plan-shaping shims (one release) ---
-  // The pre-PlanOptions spellings. A set optional wins over the
-  // corresponding plan_options field: Normalized() folds each engaged shim
-  // into plan_options and disengages it. New code sets plan_options
-  // directly.
-  [[deprecated("use plan_options.lazy_materialization")]]
-  std::optional<bool> lazy_materialization;
-  [[deprecated("use plan_options.minimum_set_cover")]]
-  std::optional<bool> minimum_set_cover;
-  [[deprecated("use plan_options.induced")]]
-  std::optional<bool> induced;
-  [[deprecated("use plan_options.kernel")]]
-  std::optional<IntersectKernel> kernel;
-  [[deprecated("use plan_options.auto_kernel")]]
-  std::optional<bool> auto_kernel;
-  [[deprecated("use plan_options.bitmap_min_degree")]]
-  std::optional<uint32_t> bitmap_min_degree;
-  [[deprecated("use plan_options.bitmap_density")]]
-  std::optional<double> bitmap_density;
-  [[deprecated("use plan_options.bitmap_max_bytes")]]
-  std::optional<size_t> bitmap_max_bytes;
-
   // --- Static plan verification ---
   /// Lint the execution plan before running it (analysis/plan_linter.h):
   /// order connectivity, symmetry-breaking consistency with the
@@ -155,33 +135,23 @@ struct RunOptions {
   /// adds no hot-path cost beyond the counters the engine already keeps.
   obs::RunReport* report = nullptr;
 
-  // Copy/move are defaulted out-of-line (light.cc): the deprecated shims
-  // above would otherwise trip -Wdeprecated-declarations inside every
-  // implicitly-defined special member at each use site.
-  RunOptions();
-  RunOptions(const RunOptions&);
-  RunOptions(RunOptions&&) noexcept;
-  RunOptions& operator=(const RunOptions&);
-  RunOptions& operator=(RunOptions&&) noexcept;
-  ~RunOptions();
-
   /// Rejects configurations outside the documented domain: negative
   /// threads, NaN or negative time limits, a visitor combined with
   /// threads > 1 (streaming is serial; parallel enumeration with a visitor
   /// is unsupported, not silently serialized), plus everything
-  /// PlanOptions::Validate rejects on the shim-folded plan options
-  /// (out-of-range bitmap density, an unavailable pinned kernel, a
-  /// malformed order override). Callers that surface user input (CLI, fuzz
-  /// harness, services) should Validate and report; light::Run validates
-  /// internally and returns the message in RunResult::error.
+  /// PlanOptions::Validate rejects on plan_options (out-of-range bitmap
+  /// density, an unavailable pinned kernel, a malformed order override).
+  /// Callers that surface user input (CLI, fuzz harness, services) should
+  /// Validate and report; light::Run validates internally and returns the
+  /// message in RunResult::error.
   Status Validate() const;
 
   /// Returns a copy with every field forced into its valid domain:
   /// threads < 0 clamps to 0 (and, with a visitor, 0 resolves to 1),
-  /// NaN/negative time limits become unlimited, each engaged deprecated
-  /// shim folded into plan_options (then disengaged),
-  /// plan_options.symmetry_breaking overwritten from unique_subgraphs, and
-  /// plan_options itself normalized (kernel resolution, density clamp).
+  /// NaN/negative time limits become unlimited,
+  /// plan_options.symmetry_breaking is overwritten from unique_subgraphs,
+  /// and plan_options itself is normalized (kernel resolution, density
+  /// clamp).
   RunOptions Normalized() const;
 };
 
@@ -264,27 +234,7 @@ struct SessionOptions {
   /// RunOptions::plan_options.
   PlanOptions plan_options;
 
-  // --- Deprecated flat bitmap shims (one release) ---
-  // Folded into plan_options by Normalized(), exactly as in RunOptions.
-  [[deprecated("use plan_options.bitmap_min_degree")]]
-  std::optional<uint32_t> bitmap_min_degree;
-  [[deprecated("use plan_options.bitmap_density")]]
-  std::optional<double> bitmap_density;
-  [[deprecated("use plan_options.bitmap_max_bytes")]]
-  std::optional<size_t> bitmap_max_bytes;
-
-  // Copy/move defaulted out-of-line (light.cc), as in RunOptions, so the
-  // deprecated shims do not trip -Wdeprecated-declarations in the
-  // implicitly-defined special members.
-  SessionOptions();
-  SessionOptions(const SessionOptions&);
-  SessionOptions(SessionOptions&&) noexcept;
-  SessionOptions& operator=(const SessionOptions&);
-  SessionOptions& operator=(SessionOptions&&) noexcept;
-  ~SessionOptions();
-
-  /// Copy with the deprecated shims folded into plan_options and the
-  /// plan options normalized.
+  /// Copy with the plan options normalized.
   SessionOptions Normalized() const;
 
   /// Plan-cache entries kept (LRU evicted beyond this); 0 disables caching
@@ -306,11 +256,6 @@ struct SessionOptions {
   /// window and records queries whose lease count did not advance across a
   /// full window as "stuck". 0 (the default) disables the watchdog.
   double stuck_query_window_seconds = 0;
-  /// Per-query lifecycle records retained for session reports (oldest
-  /// evicted beyond this).
-  size_t query_log_capacity = 1024;
-  /// Slow/stuck entries retained (oldest evicted beyond this).
-  size_t slow_query_log_capacity = 64;
 };
 
 /// Point-in-time session counters (see Session::stats()).
@@ -496,27 +441,43 @@ class Session {
                        const RunOptions& options);
 
   struct PlanEntry {
-    std::shared_ptr<const ExecutionPlan> plan;
-    /// The numbering the plan was built for (the first submitter's). Plan
+    /// Built for the first submitter's numbering (plan->pattern). Plan
     /// QUALITY is numbering-sensitive — the optimizer places symmetry-
     /// breaking constraints relative to the given numbering — so the cache
     /// keeps the plan Run would have built, not one for the canonical
     /// form; counting is isomorphism-invariant, so it serves every
-    /// renumbering of the shape. Lint checks run against this pattern.
-    Pattern pattern;
+    /// renumbering of the shape. Lint checks run against plan->pattern.
+    std::shared_ptr<const ExecutionPlan> plan;
     bool linted = false;
     uint64_t last_used = 0;
   };
 
-  /// Resolves the execution plan for a query: cache lookup by canonical
-  /// key, build + lint-at-insert on miss, LRU eviction. On lint failure
-  /// returns null with `error` set. With caching disabled (capacity 0)
-  /// builds a fresh plan for `pattern` itself, bypassing canonicalization.
-  std::shared_ptr<const ExecutionPlan> ResolvePlan(const Pattern& pattern,
-                                                   const RunOptions& opts,
-                                                   std::string* error,
-                                                   bool* cache_hit)
+  /// The one admission site of every query path: assigns the query id,
+  /// counts the query submitted (SessionStats + session.queries_started)
+  /// and returns its admit time, the anchor of its deadline.
+  uint64_t Admit(uint64_t* query_id) LIGHT_EXCLUDES(stats_mutex_);
+
+  /// Resolves the plan a query runs: the caller's override (opts.plan)
+  /// after a structural lint, or the plan-cache entry for the pattern's
+  /// canonical key (built and linted on a miss). With caching off
+  /// (capacity 0, or a visitor query) builds a fresh plan for `pattern`
+  /// itself, bypassing canonicalization. On lint failure returns null with
+  /// `error` set; `holder` owns a plan the call built or looked up.
+  const ExecutionPlan* ResolvePlan(const Pattern& pattern,
+                                   const RunOptions& opts,
+                                   std::shared_ptr<const ExecutionPlan>* holder,
+                                   std::string* error, bool* cache_hit)
       LIGHT_EXCLUDES(cache_mutex_);
+  /// Plan-cache lookup: bumps the entry's LRU tick and returns its plan,
+  /// null on a miss. `linted` (optional) reports whether it passed lint.
+  std::shared_ptr<const ExecutionPlan> CacheLookup(const std::string& key,
+                                                   bool* linted)
+      LIGHT_EXCLUDES(cache_mutex_);
+  /// Plan-cache insert plus LRU eviction beyond plan_cache_capacity. A key
+  /// already present keeps its entry (a concurrent miss won the race);
+  /// re-inserting that entry's own plan records `linted` on it.
+  void CacheInsert(std::string key, std::shared_ptr<const ExecutionPlan> plan,
+                   bool linted) LIGHT_EXCLUDES(cache_mutex_);
 
   Ticket SubmitInternal(const Pattern& pattern, const RunOptions& options,
                         const char* tool,
@@ -533,10 +494,10 @@ class Session {
   /// visitor, not induced, no plan override) and `dec` is valid.
   RunResult RunIep(const Pattern& pattern, const IepDecomposition& dec,
                    const RunOptions& opts, const char* tool);
-  /// ResolvePlan's counterpart for IEP term plans: cache key =
-  /// "iep-term:" + exact term structure (term sharing requires identical
-  /// submitter numbering — canonical-form sharing would mix decompositions
-  /// of different numberings).
+  /// ResolvePlan's counterpart for IEP term plans, through the same cache
+  /// helpers: cache key = "iep-term:" + exact term structure (term sharing
+  /// requires identical submitter numbering — canonical-form sharing would
+  /// mix decompositions of different numberings).
   std::shared_ptr<const ExecutionPlan> ResolveIepTermPlan(
       const IepTerm& term, const RunOptions& opts, const std::string& base_key,
       std::string* error) LIGHT_EXCLUDES(cache_mutex_);
@@ -546,8 +507,9 @@ class Session {
   void OnResultDelivered() LIGHT_EXCLUDES(stats_mutex_);
 
   /// Completion hook: observes the lifecycle histograms, appends the query
-  /// log record, applies the slow-query threshold, and retires the
-  /// query's watchdog registration. `plan` may be null (error results).
+  /// log record, applies the slow-query threshold, retires the query's
+  /// watchdog registration, and counts the result delivered
+  /// (OnResultDelivered). `plan` may be null (error results).
   void RecordQueryDone(const RunResult& result, const Pattern& pattern,
                        const ExecutionPlan* plan)
       LIGHT_EXCLUDES(cancel_mutex_, inflight_mutex_, stats_mutex_, log_mutex_);

@@ -364,6 +364,37 @@ TEST(SessionTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_cache_misses, 3u);
 }
 
+TEST(SessionTest, IepTermPlansShareABoundedPlanCache) {
+  // Inclusion–exclusion term plans go through the session plan cache
+  // (exact "iep-term:" keys) alongside pattern plans. A cache smaller than
+  // the term count keeps evicting; counts must still equal enumeration,
+  // inline (threads = 1) and as pool term queries (threads = 4).
+  const Graph g = TestGraph();
+  SessionOptions options;
+  options.plan_cache_capacity = 2;
+  Session session(g, options);
+  for (const char* name : {"star4", "book4"}) {
+    const Pattern pattern = Named(name);
+    RunOptions enumerate;
+    enumerate.threads = 1;
+    const uint64_t expected = light::Run(g, pattern, enumerate).num_matches;
+    for (const int threads : {1, 4}) {
+      RunOptions iep;
+      iep.threads = threads;
+      iep.plan_options.count_strategy = CountStrategy::kIep;
+      for (int round = 0; round < 2; ++round) {
+        const RunResult r = session.RunSync(pattern, iep);
+        ASSERT_TRUE(r.ok()) << r.error;
+        EXPECT_EQ(r.num_matches, expected)
+            << name << " threads=" << threads << " round=" << round;
+        EXPECT_LE(session.stats().plan_cache_size, 2u);
+      }
+    }
+  }
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.queries_submitted, stats.queries_completed);
+}
+
 TEST(SessionObsTest, TicketCarriesQueryLifecycleStats) {
   const Graph g = TestGraph();
   const Pattern triangle = Named("triangle");

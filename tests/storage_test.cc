@@ -451,6 +451,31 @@ TEST(GraphIoTest, RejectsGarbageAndTruncation) {
   std::remove(cut_path.c_str());
 }
 
+TEST(GraphIoTest, SaveReplacesSnapshotWithoutDisturbingItsReaders) {
+  // Re-saving a path a store is serving from must not truncate the mapped
+  // file under it (SIGBUS on the next query): the save writes a new file
+  // and renames it over the old one.
+  const Graph a = TestGraph();
+  const Graph b = RelabelByDegree(BarabasiAlbertClustered(150, 3, 0.2, 7));
+  const uint64_t a_triangles = CountOn(GraphView(a), a, "triangle");
+  const uint64_t b_triangles = CountOn(GraphView(b), b, "triangle");
+  ASSERT_NE(a_triangles, b_triangles);
+
+  const std::string path = TempPath("replaced.lcsr2");
+  ASSERT_TRUE(SaveStoreFile(a, path).ok());
+  GraphStore::OpenOptions options;
+  options.mode = GraphStore::Mode::kMmap;
+  std::shared_ptr<const GraphStore> old_store;
+  ASSERT_TRUE(GraphStore::Open(path, options, &old_store).ok());
+  ASSERT_TRUE(SaveStoreFile(b, path).ok());
+
+  EXPECT_EQ(CountOn(old_store->view(), a, "triangle"), a_triangles);
+  std::shared_ptr<const GraphStore> new_store;
+  ASSERT_TRUE(GraphStore::Open(path, options, &new_store).ok());
+  EXPECT_EQ(CountOn(new_store->view(), b, "triangle"), b_triangles);
+  std::remove(path.c_str());
+}
+
 TEST(GraphIoTest, StoreFileRoundTripsExactly) {
   const Graph g = TestGraph();
   const std::string path = TempPath("roundtrip.lcsr2");

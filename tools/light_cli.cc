@@ -22,6 +22,7 @@
 #include "baselines/cfl_like.h"
 #include "baselines/eh_like.h"
 #include "common/timer.h"
+#include "flags.h"
 #include "gen/catalog.h"
 #include "join/bsp_engine.h"
 #include "light.h"
@@ -91,30 +92,6 @@ observability (README "Observability"):
   --trace-sample N     trace every Nth root (power of two, default 64)
   --progress           print periodic roots/matches/ETA to stderr
 )");
-}
-
-// Accepts both "--flag value" and "--flag=value". A value-taking flag with
-// no value (trailing "--flag") is a usage error, not a silent no-op.
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 /// Periodic roots-done / matches-so-far / ETA ticker driven by the metrics

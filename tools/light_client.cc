@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "flags.h"
 #include "light.h"
 #include "net/wire.h"
 #include "obs/json.h"
@@ -68,28 +69,6 @@ void Usage() {
   --json PATH      append one JSONL summary record
   --quiet          suppress the per-query lines (summaries still print)
 )");
-}
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 uint64_t NowNs() {

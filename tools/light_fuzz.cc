@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/mutex.h"
+#include "flags.h"
 #include "fuzz/fuzz.h"
 
 namespace {
@@ -38,28 +39,6 @@ void Usage() {
 
 exit status: 0 = all cases agreed, 1 = usage/IO error, 2 = divergence found
 )");
-}
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "analysis/plan_linter.h"
+#include "flags.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
@@ -62,28 +63,6 @@ void Usage() {
 
 exit status: 0 = clean, 1 = usage/IO error, 2 = lint findings
 )");
-}
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 /// One JSONL record per diagnostic, with the pattern name attached so a
