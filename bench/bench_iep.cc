@@ -3,7 +3,8 @@
 // Counting-only workloads whose patterns carry a large independent tail
 // (stars, books) are exactly where the IEP decomposition replaces an
 // exponential leaf enumeration with a handful of small kernel counts.
-// Each workload runs the light::Run facade twice at threads=1:
+// Each workload runs the light::Run facade in two legs at threads=1, each
+// timed as the median of three runs:
 //   enumerate  count_strategy=kEnumerate (classic tree enumeration)
 //   iep        count_strategy=kIep (signed kernel-term combination)
 // Unique counts must agree exactly; any mismatch is fatal. Acceptance:
@@ -35,8 +36,8 @@ struct LegResult {
   bool oot = false;
 };
 
-LegResult RunLeg(const Graph& graph, const Pattern& pattern,
-                 CountStrategy strategy, double time_limit) {
+LegResult RunOnce(const Graph& graph, const Pattern& pattern,
+                  CountStrategy strategy, double time_limit) {
   RunOptions opts;
   opts.threads = 1;
   opts.time_limit_seconds = time_limit;
@@ -51,6 +52,25 @@ LegResult RunLeg(const Graph& graph, const Pattern& pattern,
   leg.seconds = r.elapsed_seconds;
   leg.matches = r.num_matches;
   leg.oot = r.timed_out;
+  return leg;
+}
+
+// Times a leg as the median of kRepeats runs: a single run of the
+// millisecond IEP leg moves with host noise. A timed-out run ends the leg
+// at once, its time a floor.
+constexpr int kRepeats = 3;
+
+LegResult RunLeg(const Graph& graph, const Pattern& pattern,
+                 CountStrategy strategy, double time_limit) {
+  std::vector<double> seconds;
+  LegResult leg;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    leg = RunOnce(graph, pattern, strategy, time_limit);
+    if (leg.oot) return leg;
+    seconds.push_back(leg.seconds);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  leg.seconds = seconds[seconds.size() / 2];
   return leg;
 }
 

@@ -4,7 +4,7 @@
 # light_server/light_client load-gen leg with --json, consolidates their
 # records into one light.bench_snapshot.v1 document, and — in comparison
 # mode — fails when a dimensionless metric regressed more than the
-# tolerance against a committed baseline (BENCH_PR10.json).
+# tolerance against a committed baseline (BENCH_PR15.json).
 #
 # Only RATIOS and SPEEDUPS are compared, never absolute seconds: snapshots
 # are taken on different machines, and wall-clock times do not transfer.
@@ -217,7 +217,12 @@ snapshot = {
                                              for k, v in micro.items()},
                          "best_speedup": max(speedups)},
         "bench_session": session,
+        # Absolute leg seconds (medians of three runs) next to the ratio,
+        # so a moved ratio shows which leg moved.
         "bench_iep": {"workload_speedups": iep_speedups,
+                      "workload_seconds": {
+                          k: {leg: v[leg]["seconds"] for leg in v}
+                          for k, v in iep_runs.items()},
                       "second_best_speedup": iep_second_best},
         "bench_store": {"summaries": {r["dataset"]: r for r in store_rows},
                         "warm_ratio": store_warm_ratio,

@@ -114,9 +114,9 @@ if [[ "$skip_bench" -eq 0 ]]; then
   # the light_server/light_client load-gen leg, consolidates their JSON into
   # one snapshot, and fails on >10% regression of any dimensionless metric
   # vs the committed baseline. Regenerate the baseline with:
-  # ci/snapshot.sh --out BENCH_PR10.json
+  # ci/snapshot.sh --out BENCH_PR15.json
   echo "==> perf snapshot: CI-gated benches vs committed baseline"
-  ci/snapshot.sh --out build/bench_snapshot.json --compare BENCH_PR10.json
+  ci/snapshot.sh --out build/bench_snapshot.json --compare BENCH_PR15.json
 
   echo "==> session report: --batch emits a parseable light.session_report.v1"
   printf 'triangle\nP1\nP2\ntriangle\nP1\n' > build/verify_batch.txt

@@ -91,6 +91,8 @@ bool CheckShape(const Pattern& pattern, const ExecutionPlan& plan,
   require_size("lower_bounds", plan.lower_bounds.size());
   require_size("upper_bounds", plan.upper_bounds.size());
   require_size("non_adjacent", plan.non_adjacent.size());
+  require_size("comp_lower", plan.comp_lower.size());
+  require_size("comp_upper", plan.comp_upper.size());
   return ok;
 }
 
@@ -310,6 +312,91 @@ void CheckConstraintWiring(const Pattern& pattern, const ExecutionPlan& plan,
              plan.lower_bounds[static_cast<size_t>(u)]);
     mismatch("upper bounds", u, expected_upper[static_cast<size_t>(u)],
              plan.upper_bounds[static_cast<size_t>(u)]);
+  }
+}
+
+/// A COMP trim (plan.comp_lower/comp_upper) drops elements of C(u), and
+/// with them of every candidate set computed from C(u) through K2. That is
+/// sound only when each trim endpoint is bound when COMP(u) runs and the
+/// transitive closure of the partial order orders it strictly below (or
+/// above) u and every such reader: otherwise the trim kills valid
+/// embeddings.
+void CheckTrimSets(const Pattern& pattern, const ExecutionPlan& plan,
+                   const SigmaIndex& sigma, LintReport* report) {
+  const int n = pattern.NumVertices();
+  // less[a][b]: phi(a) < phi(b) follows from the partial order (DFS from
+  // each vertex over the constraint digraph).
+  std::vector<std::vector<bool>> less(static_cast<size_t>(n),
+                                      std::vector<bool>(static_cast<size_t>(n)));
+  for (int a = 0; a < n; ++a) {
+    std::vector<int> stack = {a};
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      for (const auto& [x, y] : plan.partial_order) {
+        if (x == v && !less[static_cast<size_t>(a)][static_cast<size_t>(y)]) {
+          less[static_cast<size_t>(a)][static_cast<size_t>(y)] = true;
+          stack.push_back(y);
+        }
+      }
+    }
+  }
+  for (int u = 0; u < n; ++u) {
+    const uint32_t lower = plan.comp_lower[static_cast<size_t>(u)];
+    const uint32_t upper = plan.comp_upper[static_cast<size_t>(u)];
+    if (lower == 0 && upper == 0) continue;
+    // u and every vertex reading C(u) through a chain of K2 operands.
+    std::vector<int> readers = {u};
+    for (size_t i = 0; i < readers.size(); ++i) {
+      for (int w = 0; w < n; ++w) {
+        const std::vector<int>& k2 = plan.operands[static_cast<size_t>(w)].k2;
+        if (std::find(k2.begin(), k2.end(), readers[i]) != k2.end() &&
+            std::find(readers.begin(), readers.end(), w) == readers.end()) {
+          readers.push_back(w);
+        }
+      }
+    }
+    auto check = [&](uint32_t mask, bool is_lower) {
+      for (int x = 0; x < kMaxPatternVertices; ++x) {
+        if (((mask >> x) & 1u) == 0) continue;
+        const std::string what = std::string("trim of COMP(") +
+                                 VertexName(u) + ") by phi(" + VertexName(x) +
+                                 ")";
+        if (x >= n || sigma.comp_pos[static_cast<size_t>(u)] == -1 ||
+            sigma.mat_pos[static_cast<size_t>(x)] == -1 ||
+            sigma.mat_pos[static_cast<size_t>(x)] >
+                sigma.comp_pos[static_cast<size_t>(u)]) {
+          report->Add(LintSeverity::kError, "sb-trim",
+                      what + ": " + VertexName(x) +
+                          " is not materialized before COMP(" +
+                          VertexName(u) + ")",
+                      u, {x, u});
+          continue;
+        }
+        for (const int w : readers) {
+          const bool ordered =
+              is_lower ? less[static_cast<size_t>(x)][static_cast<size_t>(w)]
+                       : less[static_cast<size_t>(w)][static_cast<size_t>(x)];
+          if (!ordered) {
+            report->Add(LintSeverity::kError, "sb-trim",
+                        what + ": the partial order does not give phi(" +
+                            (is_lower ? VertexName(x) : VertexName(w)) +
+                            ") < phi(" +
+                            (is_lower ? VertexName(w) : VertexName(x)) +
+                            ")" +
+                            (w == u ? std::string()
+                                    : ", and " + VertexName(w) +
+                                          " reads C(" + VertexName(u) +
+                                          ") through K2") +
+                            ": valid embeddings are dropped",
+                        u, {x, w});
+            break;
+          }
+        }
+      }
+    };
+    check(lower, true);
+    check(upper, false);
   }
 }
 
@@ -771,6 +858,7 @@ LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
       CheckPartialOrderStructure(p, plan, &report);
   if (sb_structurally_ok) {
     CheckConstraintWiring(p, plan, sigma, &report);
+    CheckTrimSets(p, plan, sigma, &report);
     // The orbit check reasons about complete embeddings; a counted-tail
     // plan never materializes the tail (and running it with symmetry
     // breaking is already an iep-tail-symmetry error), so skip it there.

@@ -24,6 +24,10 @@
 ///   sb-cycle              the partial order is acyclic
 ///   sb-wiring             every constraint wired to exactly one bound list,
 ///                         at the later-materialized endpoint
+///   sb-trim               a COMP trim endpoint is not bound before the
+///                         COMP, or the partial order's closure does not
+///                         order it against the vertex and every K2 reader
+///                         of its candidate set (kills valid embeddings)
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -36,8 +38,17 @@ class ScopedOpSpan {
 
 }  // namespace
 
+void EngineStats::AddWideMatches(unsigned __int128 count) {
+  unsigned __int128 sum;
+  if (__builtin_add_overflow(WideMatches(), count, &sum)) {
+    sum = kSaturatedMatches;
+  }
+  num_matches = static_cast<uint64_t>(sum);
+  num_matches_high = static_cast<uint64_t>(sum >> 64);
+}
+
 void EngineStats::Add(const EngineStats& other) {
-  num_matches += other.num_matches;
+  AddWideMatches(other.WideMatches());
   num_partial_results += other.num_partial_results;
   intersections.Add(other.intersections);
   if (comp_counts.size() < other.comp_counts.size()) {
@@ -328,11 +339,35 @@ void Enumerator::RunCompute(size_t op_index) {
 
 uint32_t Enumerator::ComputeCandidateSet(int u) {
   const Operands& ops = plan_.operands[static_cast<size_t>(u)];
+  // Symmetry-breaking trim (ExecutionPlan::comp_lower/comp_upper): elements
+  // outside [lo, hi) can bind neither u nor any vertex reading C(u) through
+  // K2, so every sorted operand is narrowed before the intersection. A
+  // bitmap row stays valid for a narrowed array (probing the trimmed array
+  // through the full row yields the trimmed intersection); an all-bitmap
+  // AND may return elements outside the window, which MAT filters anyway.
+  const uint32_t lower_mask = plan_.comp_lower[static_cast<size_t>(u)];
+  const uint32_t upper_mask = plan_.comp_upper[static_cast<size_t>(u)];
+  VertexID lo = 0;
+  VertexID hi = graph_.NumVertices();
+  for (uint32_t m = lower_mask; m != 0; m &= m - 1) {
+    lo = std::max(lo, mapping_[static_cast<size_t>(std::countr_zero(m))] + 1);
+  }
+  for (uint32_t m = upper_mask; m != 0; m &= m - 1) {
+    hi = std::min(hi, mapping_[static_cast<size_t>(std::countr_zero(m))]);
+  }
+  const bool trim = (lower_mask | upper_mask) != 0;
+  auto narrow = [&](std::span<const VertexID> s) -> std::span<const VertexID> {
+    if (!trim) return s;
+    const VertexID* begin = s.data();
+    const VertexID* end = s.data() + s.size();
+    if (lo > 0) begin = std::lower_bound(begin, end, lo);
+    if (hi < graph_.NumVertices()) end = std::lower_bound(begin, end, hi);
+    return {begin, static_cast<size_t>(end - begin)};
+  };
   // K1 operands are graph neighborhoods and may carry bitmap-index rows;
   // K2 operands are earlier candidate sets and are always array-only. With
   // no index attached every view is array-only and the multiway hybrid
   // degenerates to the pure Algorithm 4 routing.
-  std::array<SetView, kMaxPatternVertices> sets;
   size_t k = 0;
   for (int x : ops.k1) {
     const VertexID mapped = mapping_[static_cast<size_t>(x)];
@@ -341,16 +376,16 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     if (paged_) {
       // Staged at bind time (StageAdjacency); rows still apply — the index
       // is keyed by data vertex, not by where its adjacency lives.
-      sets[k++] = SetView({adjacency_[static_cast<size_t>(x)].data(),
-                           adjacency_size_[static_cast<size_t>(x)]},
-                          row);
+      sets_[k++] = SetView(narrow({adjacency_[static_cast<size_t>(x)].data(),
+                                   adjacency_size_[static_cast<size_t>(x)]}),
+                           row);
     } else {
-      sets[k++] = SetView(graph_.Neighbors(mapped), row);
+      sets_[k++] = SetView(narrow(graph_.Neighbors(mapped)), row);
     }
   }
   for (int y : ops.k2) {
-    sets[k++] = SetView({cand_data_[static_cast<size_t>(y)],
-                         cand_size_[static_cast<size_t>(y)]});
+    sets_[k++] = SetView(narrow({cand_data_[static_cast<size_t>(y)],
+                                 cand_size_[static_cast<size_t>(y)]}));
   }
   // NOTE: the candidate-space restriction (allowed_) is deliberately NOT an
   // intersection operand here: stored candidate sets are reused through K2
@@ -365,15 +400,15 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
       data_labels_ != nullptr && plan_.pattern.Label(u) != 0;
   if (k == 1 && !filter) {
     // Single operand: alias it instead of copying (w_u = 0 intersections).
-    cand_data_[static_cast<size_t>(u)] = sets[0].sorted.data();
-    cand_size_[static_cast<size_t>(u)] = static_cast<uint32_t>(sets[0].size());
+    cand_data_[static_cast<size_t>(u)] = sets_[0].sorted.data();
+    cand_size_[static_cast<size_t>(u)] = static_cast<uint32_t>(sets_[0].size());
   } else if (k == 1) {
     cand_size_[static_cast<size_t>(u)] = FilterByLabel(
-        u, sets[0].sorted.data(), static_cast<uint32_t>(sets[0].size()));
+        u, sets_[0].sorted.data(), static_cast<uint32_t>(sets_[0].size()));
     cand_data_[static_cast<size_t>(u)] = buffer.data();
   } else {
     size_t size = IntersectMultiwayHybrid(
-        {sets.data(), k}, buffer.data(), scratch_.data(),
+        {sets_.data(), k}, buffer.data(), scratch_.data(),
         word_scratch_.empty() ? nullptr : word_scratch_.data(),
         word_scratch_.size(), kernel_, &stats_.intersections);
     if (filter) {
@@ -392,7 +427,9 @@ void Enumerator::RunCountedTail() {
   // is sorted and disjoint from other tails' injectivity concerns (terms
   // account for tail-tail collisions by construction); only bound KERNEL
   // vertices must be subtracted.
-  uint64_t product = 1;
+  // Tail sizes are below 2^32, so up to four multiply exactly in 128 bits
+  // (and already four can pass 2^64); a larger product saturates.
+  unsigned __int128 product = 1;
   for (int t : plan_.counted_tail) {
     const uint32_t size = ComputeCandidateSet(t);
     const VertexID* data = cand_data_[static_cast<size_t>(t)];
@@ -401,9 +438,11 @@ void Enumerator::RunCountedTail() {
       if (std::binary_search(data, data + size, b)) --count;
     }
     if (count == 0) return;
-    product *= count;
+    if (__builtin_mul_overflow(product, count, &product)) {
+      product = kSaturatedMatches;
+    }
   }
-  stats_.num_matches += product;
+  stats_.AddWideMatches(product);
 }
 
 bool Enumerator::HasDataEdge(VertexID a, VertexID b) {
@@ -430,12 +469,47 @@ void Enumerator::RunMaterialize(size_t op_index) {
 
   const bool last_op = op_index + 1 == num_ops_;
   const bool counting_leaf = last_op && visitor_ == nullptr;
-  // Universal vertices with a candidate space iterate the allowed list
-  // itself (COMP pointed cand_data_ at it), so no membership check needed.
-  const bool check_allowed =
-      allowed_ != nullptr && !universal_[static_cast<size_t>(u)];
+  // A universal vertex without a candidate space ranges over [lo, hi) of
+  // V(G) itself; every other vertex over the window of its sorted set (a
+  // universal one with a candidate space: the allowed list COMP pointed
+  // cand_data_ at, so no membership check is needed).
+  const bool dense = universal_[static_cast<size_t>(u)] && allowed_ == nullptr;
+  const VertexID* begin = nullptr;
+  const VertexID* end = nullptr;
+  if (!dense) {
+    begin = cand_data_[static_cast<size_t>(u)];
+    end = begin + cand_size_[static_cast<size_t>(u)];
+    if (lo > 0) begin = std::lower_bound(begin, end, lo);
+    if (hi < graph_.NumVertices()) end = std::lower_bound(begin, end, hi);
+  }
+
+  // Bulk counting leaf: with nothing left to check per candidate, every
+  // window element not already bound is a match. Sorted candidate sets are
+  // label-filtered at COMP, so only a labeled dense vertex still needs its
+  // per-element label test.
+  if (counting_leaf && allowed_ == nullptr &&
+      plan_.non_adjacent[static_cast<size_t>(u)].empty() &&
+      (!dense || plan_.pattern.Label(u) == 0 || data_labels_ == nullptr)) {
+    if (CheckDeadline()) return;
+    uint64_t count = dense ? hi - lo : static_cast<uint64_t>(end - begin);
+    // Injectivity: bound vertices are distinct and candidate sets strictly
+    // sorted, so each bound vertex inside the window is one non-match.
+    for (VertexID b : bound_values_) {
+      if (b >= lo && b < hi && (dense || std::binary_search(begin, end, b))) {
+        --count;
+      }
+    }
+    // The same amounts the per-element loop adds, one step at a time.
+    stats_.mat_counts[static_cast<size_t>(u)] += count;
+    stats_.num_partial_results += count;
+    stats_.num_matches += count;
+    return;
+  }
+
   const std::vector<VertexID>* allowed_list =
-      check_allowed ? &(*allowed_)[static_cast<size_t>(u)] : nullptr;
+      allowed_ != nullptr && !universal_[static_cast<size_t>(u)]
+          ? &(*allowed_)[static_cast<size_t>(u)]
+          : nullptr;
 
   auto try_vertex = [&](VertexID v) {
     if (allowed_list != nullptr &&
@@ -473,7 +547,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
     mapping_[static_cast<size_t>(u)] = kInvalidVertex;
   };
 
-  if (universal_[static_cast<size_t>(u)] && allowed_ == nullptr) {
+  if (dense) {
     for (VertexID v = lo; v < hi && !stop_; ++v) {
       if (CheckDeadline()) return;
       if (!LabelMatches(u, v)) continue;
@@ -481,13 +555,6 @@ void Enumerator::RunMaterialize(size_t op_index) {
     }
     return;
   }
-
-  const VertexID* data = cand_data_[static_cast<size_t>(u)];
-  const uint32_t size = cand_size_[static_cast<size_t>(u)];
-  const VertexID* begin = data;
-  const VertexID* end = data + size;
-  if (lo > 0) begin = std::lower_bound(begin, end, lo);
-  if (hi < graph_.NumVertices()) end = std::lower_bound(begin, end, hi);
   for (const VertexID* it = begin; it != end && !stop_; ++it) {
     if (CheckDeadline()) return;
     try_vertex(*it);

@@ -1,6 +1,7 @@
 #ifndef LIGHT_ENGINE_ENUMERATOR_H_
 #define LIGHT_ENGINE_ENUMERATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "engine/visitors.h"
 #include "graph/bitmap_index.h"
 #include "graph/graph_view.h"
+#include "intersect/bitmap.h"
 #include "intersect/set_intersection.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
@@ -22,7 +24,13 @@ namespace light {
 /// characterize (and our tests verify). candidate_memory_bytes is the
 /// Table V metric.
 struct EngineStats {
+  /// Low 64 bits of the match count; num_matches_high holds the rest.
   uint64_t num_matches = 0;
+  /// Only counted-tail (IEP term) plans reach it: each kernel embedding
+  /// adds a product of tail candidate-set sizes, and a term's raw count can
+  /// pass 2^64 while the combined answer does not. A count that would pass
+  /// 2^128 saturates both words (see kSaturatedMatches).
+  uint64_t num_matches_high = 0;
   uint64_t num_partial_results = 0;  // successful MAT extensions
   IntersectStats intersections;
   std::vector<uint64_t> comp_counts;  // indexed by pattern vertex
@@ -32,7 +40,19 @@ struct EngineStats {
   bool timed_out = false;
 
   void Add(const EngineStats& other);
+
+  unsigned __int128 WideMatches() const {
+    return (static_cast<unsigned __int128>(num_matches_high) << 64) |
+           num_matches;
+  }
+  /// Adds `count` to the match count, saturating at kSaturatedMatches.
+  void AddWideMatches(unsigned __int128 count);
 };
+
+/// Saturation value of EngineStats::WideMatches(): a count this large is
+/// reported as an overflow, never as a number.
+inline constexpr unsigned __int128 kSaturatedMatches =
+    ~static_cast<unsigned __int128>(0);
 
 /// Executes an ExecutionPlan against a data graph with the recursive DFS of
 /// Algorithms 1/2 (which of the two depends on how the plan was built). One
@@ -203,6 +223,10 @@ class Enumerator {
 
   std::vector<VertexID> bound_values_;  // materialized data vertices (stack)
   std::vector<VertexID> scratch_;
+  /// ComputeCandidateSet's operand views. A member, not a local: the
+  /// array's value-initialization would otherwise cost every intersection
+  /// 768 bytes of stores. Never live across a recursive call.
+  std::array<SetView, kMaxPatternVertices> sets_;
 
   MatchVisitor* visitor_ = nullptr;
   EngineStats stats_;

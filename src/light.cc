@@ -235,6 +235,7 @@ struct SessionQueryState {
     MutexLock lock(mutex);
     if (finalized) return result;
     result.num_matches = presult.num_matches;
+    result.num_matches_high = presult.stats.num_matches_high;
     result.elapsed_seconds = presult.elapsed_seconds;
     result.timed_out = presult.timed_out;
     result.query_stats = presult.lifecycle;
@@ -793,7 +794,19 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
 
   const BitmapIndex& bitmap = EnsureBitmap();
   const uint64_t exec_start_ns = MonotonicNs();
+  // Terms combine in 128 bits: one term's raw count can pass 2^64 (a
+  // product of tail sizes) while the combined answer does not. A saturated
+  // term or an intermediate past 127 bits is an overflow.
   __int128 total = 0;
+  bool overflow = false;
+  auto accumulate = [&](int64_t coefficient, unsigned __int128 count) {
+    __int128 weighted;
+    overflow = overflow || count > (~static_cast<unsigned __int128>(0) >> 1) ||
+               __builtin_mul_overflow(static_cast<__int128>(coefficient),
+                                      static_cast<__int128>(count),
+                                      &weighted) ||
+               __builtin_add_overflow(total, weighted, &total);
+  };
   bool timed_out = false;
   EngineStats agg;
   if (opts.threads == 1) {
@@ -803,8 +816,7 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
           RunInline(view_, *plans[i], opts, bitmap, admit_ns);
       agg.Add(term);
       timed_out = term.timed_out;
-      total += static_cast<__int128>(dec.terms[i].coefficient) *
-               static_cast<__int128>(term.num_matches);
+      accumulate(dec.terms[i].coefficient, term.WideMatches());
     }
   } else {
     // Pool path: each term is its own plan-override query (the term plans
@@ -831,19 +843,28 @@ RunResult Session::RunIep(const Pattern& pattern, const IepDecomposition& dec,
         return result;
       }
       timed_out = timed_out || term_result.timed_out;
-      total += static_cast<__int128>(dec.terms[i].coefficient) *
-               static_cast<__int128>(term_result.num_matches);
+      accumulate(dec.terms[i].coefficient,
+                 (static_cast<unsigned __int128>(term_result.num_matches_high)
+                  << 64) |
+                     term_result.num_matches);
     }
   }
 
   // The signed sum is exact for complete runs; a timeout leaves a partial
   // (possibly negative) sum — clamp, keep timed_out, like partial counts.
+  // Divide by |Aut| before narrowing: the sum of embeddings may pass 2^64
+  // while the subgraph count fits.
   if (total < 0) total = 0;
-  uint64_t matches = static_cast<uint64_t>(total);
   if (opts.unique_subgraphs && dec.automorphism_count > 1) {
-    matches /= dec.automorphism_count;
+    total /= static_cast<__int128>(dec.automorphism_count);
   }
-  result.num_matches = matches;
+  if (overflow || total > static_cast<__int128>(UINT64_MAX)) {
+    result.outcome = QueryOutcome::kError;
+    result.error =
+        std::string(kCountOverflowPrefix) + " the count exceeds 2^64 - 1";
+  } else {
+    result.num_matches = static_cast<uint64_t>(total);
+  }
   // Classic timed_out-no-error contract (see RunSerial): a partial signed
   // sum is delivered with the flag set; pool-path term queries already
   // recorded their own deadline outcomes.

@@ -177,11 +177,19 @@ enum class QueryOutcome {
 inline constexpr char kDeadlineExceededPrefix[] = "deadline_exceeded:";
 inline constexpr char kOverloadRejectedPrefix[] = "overload_rejected:";
 inline constexpr char kCancelledPrefix[] = "cancelled:";
+/// kError prefix of a count that does not fit 64 bits (an IEP count past
+/// UINT64_MAX): the query fails rather than deliver a wrapped value.
+inline constexpr char kCountOverflowPrefix[] = "count_overflow:";
 
 /// Outcome of the one-call API. `error` is empty on success; a failed
 /// Validate or sink error puts the message here (no exceptions).
 struct RunResult {
   uint64_t num_matches = 0;
+  /// High 64 bits of the raw count (EngineStats::num_matches_high). Only a
+  /// counted-tail term query, whose count Session::RunIep combines, can
+  /// set it; a pattern count that does not fit 64 bits fails with
+  /// kCountOverflowPrefix instead.
+  uint64_t num_matches_high = 0;
   double elapsed_seconds = 0;
   bool timed_out = false;
   std::string error;

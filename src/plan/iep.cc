@@ -220,6 +220,8 @@ ExecutionPlan BuildIepTermPlan(const IepTerm& term, const GraphStats& stats,
   plan.lower_bounds.resize(static_cast<size_t>(n));
   plan.upper_bounds.resize(static_cast<size_t>(n));
   plan.non_adjacent.resize(static_cast<size_t>(n));
+  plan.comp_lower.resize(static_cast<size_t>(n));
+  plan.comp_upper.resize(static_cast<size_t>(n));
   for (int t : term.counted_tail) {
     plan.pi.push_back(t);
     plan.sigma.push_back({OpType::kCompute, t});

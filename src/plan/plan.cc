@@ -95,13 +95,15 @@ void WireConstraints(ExecutionPlan* plan) {
   const int n = plan->pattern.NumVertices();
   plan->lower_bounds.assign(static_cast<size_t>(n), {});
   plan->upper_bounds.assign(static_cast<size_t>(n), {});
+  plan->comp_lower.assign(static_cast<size_t>(n), 0);
+  plan->comp_upper.assign(static_cast<size_t>(n), 0);
   if (!plan->options.symmetry_breaking) return;
   std::vector<int> mat_pos(static_cast<size_t>(n), -1);
+  std::vector<int> comp_pos(static_cast<size_t>(n), -1);
   for (int i = 0; i < static_cast<int>(plan->sigma.size()); ++i) {
     const Operation& op = plan->sigma[static_cast<size_t>(i)];
-    if (op.type == OpType::kMaterialize) {
-      mat_pos[static_cast<size_t>(op.vertex)] = i;
-    }
+    auto& pos = op.type == OpType::kMaterialize ? mat_pos : comp_pos;
+    pos[static_cast<size_t>(op.vertex)] = i;
   }
   // A constraint phi(a) < phi(b) is checked when the later-materialized of
   // the two is bound; by then the other endpoint's mapping is available.
@@ -111,6 +113,72 @@ void WireConstraints(ExecutionPlan* plan) {
     } else {
       plan->upper_bounds[static_cast<size_t>(a)].push_back(b);
     }
+  }
+
+  // COMP trims. above[a] holds every b with phi(a) < phi(b) in the
+  // transitive closure, below[b] every such a (Warshall over bitmasks).
+  std::vector<uint32_t> above(static_cast<size_t>(n), 0);
+  std::vector<uint32_t> below(static_cast<size_t>(n), 0);
+  for (const auto& [a, b] : plan->partial_order) {
+    above[static_cast<size_t>(a)] |= uint32_t{1} << b;
+  }
+  for (int k = 0; k < n; ++k) {
+    for (int i = 0; i < n; ++i) {
+      if ((above[static_cast<size_t>(i)] >> k) & 1u) {
+        above[static_cast<size_t>(i)] |= above[static_cast<size_t>(k)];
+      }
+    }
+  }
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if ((above[static_cast<size_t>(a)] >> b) & 1u) {
+        below[static_cast<size_t>(b)] |= uint32_t{1} << a;
+      }
+    }
+  }
+  // readers[u]: u plus every vertex whose candidate set is computed from
+  // C(u) through a chain of K2 operands. A trimmed element of C(u) is
+  // missing from all of them, so the bound must hold for each. K2 operands
+  // precede their reader in pi, so one reverse-pi pass closes the chains.
+  std::vector<uint32_t> readers(static_cast<size_t>(n), 0);
+  for (auto it = plan->pi.rbegin(); it != plan->pi.rend(); ++it) {
+    const int w = *it;
+    readers[static_cast<size_t>(w)] |= uint32_t{1} << w;
+    for (int y : plan->operands[static_cast<size_t>(w)].k2) {
+      readers[static_cast<size_t>(y)] |= readers[static_cast<size_t>(w)];
+    }
+  }
+  for (int u = 0; u < n; ++u) {
+    const int comp = comp_pos[static_cast<size_t>(u)];
+    if (comp < 0) continue;
+    uint32_t bound_before = 0;
+    for (int x = 0; x < n; ++x) {
+      const int mat = mat_pos[static_cast<size_t>(x)];
+      if (mat >= 0 && mat < comp) bound_before |= uint32_t{1} << x;
+    }
+    uint32_t lower = bound_before;
+    uint32_t upper = bound_before;
+    for (int w = 0; w < n; ++w) {
+      if ((readers[static_cast<size_t>(u)] >> w) & 1u) {
+        lower &= below[static_cast<size_t>(w)];
+        upper &= above[static_cast<size_t>(w)];
+      }
+    }
+    // A single-operand COMP that only MAT(u) reads aliases its operand,
+    // and MAT(u) applies its own window to it anyway: keep only the bounds
+    // that window lacks.
+    const Operands& ops = plan->operands[static_cast<size_t>(u)];
+    if (ops.k1.size() + ops.k2.size() == 1 &&
+        readers[static_cast<size_t>(u)] == uint32_t{1} << u) {
+      for (int x : plan->lower_bounds[static_cast<size_t>(u)]) {
+        lower &= ~(uint32_t{1} << x);
+      }
+      for (int y : plan->upper_bounds[static_cast<size_t>(u)]) {
+        upper &= ~(uint32_t{1} << y);
+      }
+    }
+    plan->comp_lower[static_cast<size_t>(u)] = lower;
+    plan->comp_upper[static_cast<size_t>(u)] = upper;
   }
 }
 
@@ -275,6 +343,19 @@ std::string ExecutionPlan::ToString() const {
     out += "partial order:";
     for (const auto& [a, b] : partial_order) {
       out += " u" + std::to_string(a) + "<u" + std::to_string(b);
+    }
+    out += "\n";
+  }
+  for (int u : pi) {
+    const uint32_t lower = comp_lower[static_cast<size_t>(u)];
+    const uint32_t upper = comp_upper[static_cast<size_t>(u)];
+    if (lower == 0 && upper == 0) continue;
+    out += "trim(u" + std::to_string(u) + "):";
+    for (int x = 0; x < pattern.NumVertices(); ++x) {
+      if ((lower >> x) & 1u) out += " >u" + std::to_string(x);
+    }
+    for (int y = 0; y < pattern.NumVertices(); ++y) {
+      if ((upper >> y) & 1u) out += " <u" + std::to_string(y);
     }
     out += "\n";
   }

@@ -149,6 +149,18 @@ struct ExecutionPlan {
   /// MAT(x)/MAT(y) precedes MAT(u) in sigma.
   std::vector<std::vector<int>> lower_bounds;
   std::vector<std::vector<int>> upper_bounds;
+  /// Indexed by pattern vertex u: the symmetry-breaking trim of COMP(u),
+  /// as bitmasks over pattern vertices. Bit x of comp_lower[u] means every
+  /// element of C(u) at or below phi(x) is dead: x is materialized before
+  /// COMP(u), and the transitive closure of partial_order gives
+  /// phi(x) < phi(w) for u and for every vertex w that reads C(u) through a
+  /// chain of K2 operands. comp_upper[u] is the mirror image (elements at
+  /// or above phi(y) are dead). The engine narrows COMP(u)'s operands to
+  /// (max phi(x), min phi(y)) before intersecting. A single-operand COMP
+  /// read only by MAT(u) keeps just the bounds MAT(u)'s own window lacks.
+  /// Empty masks without symmetry breaking and for counted-tail plans.
+  std::vector<uint32_t> comp_lower;
+  std::vector<uint32_t> comp_upper;
   /// Induced matching only (empty otherwise): non_adjacent[u] lists pattern
   /// vertices w with no (u, w) pattern edge whose MAT precedes MAT(u) in
   /// sigma; binding u to v requires e(v, phi(w)) to be absent from E(G).

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -167,6 +169,53 @@ TEST(AnalysisTest, MisWiredConstraintsAreCaught) {
   for (auto& bounds : plan.upper_bounds) bounds.clear();
   const LintReport report = LintPlan(Triangle(), plan, TestOptions());
   EXPECT_TRUE(HasRule(report, "sb-wiring")) << report.ToString();
+}
+
+TEST(AnalysisTest, UnsoundTrimIsCaught) {
+  // P3 (= K4) under pi = (0, 1, 2, 3): the built trims are sound.
+  Pattern p3;
+  ASSERT_TRUE(FindPattern("P3", &p3).ok());
+  const ExecutionPlan sound =
+      BuildPlanWithOrder(p3, {0, 1, 2, 3}, PlanOptions::Light());
+  ASSERT_NE(sound.comp_lower[2], 0u) << sound.ToString();
+  EXPECT_TRUE(LintPlan(p3, sound, TestOptions()).ok());
+
+  // Trimming C(u2) from above by phi(u1) contradicts u1 < u2.
+  ExecutionPlan reversed = sound;
+  reversed.comp_upper[2] |= 1u << 1;
+  const LintReport report = LintPlan(p3, reversed, TestOptions());
+  EXPECT_TRUE(HasRule(report, "sb-trim")) << report.ToString();
+
+  // u3 is not bound when COMP(u2) runs.
+  ExecutionPlan unbound = sound;
+  unbound.comp_upper[2] |= 1u << 3;
+  EXPECT_TRUE(HasRule(LintPlan(p3, unbound, TestOptions()), "sb-trim"));
+
+  // Without symmetry breaking nothing orders the vertices.
+  PlanOptions unbroken = PlanOptions::Light();
+  unbroken.symmetry_breaking = false;
+  ExecutionPlan plain = BuildPlanWithOrder(p3, {0, 1, 2, 3}, unbroken);
+  plain.comp_lower[2] = 1u << 0;
+  EXPECT_TRUE(HasRule(LintPlan(p3, plain, TestOptions()), "sb-trim"));
+}
+
+TEST(AnalysisTest, TrimIgnoringAK2ReaderIsCaught) {
+  // K4 under pi = (0, 1, 2, 3) with only 0 < 1 < 2 enforced: C(u3) is read
+  // from C(u2) through K2, and nothing orders u3, so the plan leaves C(u2)
+  // untrimmed even though phi(u0), phi(u1) < phi(u2).
+  Pattern k4;
+  ASSERT_TRUE(FindPattern("k4", &k4).ok());
+  ExecutionPlan plan = BuildPlanWithConstraints(
+      k4, {0, 1, 2, 3}, PlanOptions::Light(), {{0, 1}, {1, 2}});
+  const std::vector<int>& k2 = plan.operands[3].k2;
+  ASSERT_NE(std::find(k2.begin(), k2.end(), 2), k2.end()) << plan.ToString();
+  EXPECT_EQ(plan.comp_lower[2], 0u) << plan.ToString();
+  EXPECT_FALSE(HasRule(LintPlan(k4, plan, TestOptions()), "sb-trim"));
+  plan.comp_lower[2] = (1u << 0) | (1u << 1);
+  const LintReport report = LintPlan(k4, plan, TestOptions());
+  ASSERT_TRUE(HasRule(report, "sb-trim")) << report.ToString();
+  EXPECT_NE(report.ToString().find("reads C(u2)"), std::string::npos)
+      << report.ToString();
 }
 
 TEST(AnalysisTest, K2OverreachIsCaught) {

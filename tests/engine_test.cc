@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_stats.h"
+#include "filter/candidate_space.h"
 #include "graph/reorder.h"
 #include "pattern/catalog.h"
 #include "pattern/symmetry_breaking.h"
@@ -204,6 +207,195 @@ TEST(EnumeratorTest, EmptyishGraphYieldsZero) {
   const ExecutionPlan plan = PlanFor(k4, g, PlanOptions::Light());
   Enumerator enumerator(g, plan);
   EXPECT_EQ(enumerator.Count(), 0u);
+}
+
+// Accepts every match: a visitor keeps the last MAT on its per-element
+// loop, the reference for the bulk counting leaf.
+class AcceptAllVisitor : public MatchVisitor {
+ public:
+  bool OnMatch(std::span<const VertexID>) override { return true; }
+};
+
+void ExpectSameCounters(const EngineStats& bulk, const EngineStats& each,
+                        const std::string& what) {
+  EXPECT_EQ(bulk.num_matches, each.num_matches) << what;
+  EXPECT_EQ(bulk.num_partial_results, each.num_partial_results) << what;
+  EXPECT_EQ(bulk.mat_counts, each.mat_counts) << what;
+  EXPECT_EQ(bulk.comp_counts, each.comp_counts) << what;
+  EXPECT_EQ(bulk.intersections.num_intersections,
+            each.intersections.num_intersections)
+      << what;
+}
+
+// Counts once through Count() (bulk leaf where it applies) and once through
+// Enumerate() with an accept-all visitor (per-element leaf); every counter
+// must agree. Returns the count.
+uint64_t CountBothWays(const Graph& g, const ExecutionPlan& plan,
+                       const std::string& what,
+                       const std::vector<uint32_t>* labels = nullptr,
+                       const std::vector<std::vector<VertexID>>* allowed =
+                           nullptr) {
+  Enumerator bulk(g, plan, labels);
+  bulk.SetAllowedCandidates(allowed);
+  const uint64_t count = bulk.Count();
+  Enumerator each(g, plan, labels);
+  each.SetAllowedCandidates(allowed);
+  AcceptAllVisitor visitor;
+  EXPECT_EQ(each.Enumerate(&visitor), count) << what;
+  ExpectSameCounters(bulk.stats(), each.stats(), what);
+  return count;
+}
+
+bool NarrowsAnIntersection(const ExecutionPlan& plan) {
+  for (int u : plan.pi) {
+    const Operands& ops = plan.operands[static_cast<size_t>(u)];
+    const uint32_t trim = plan.comp_lower[static_cast<size_t>(u)] |
+                          plan.comp_upper[static_cast<size_t>(u)];
+    if (trim != 0 && ops.k1.size() + ops.k2.size() >= 2) return true;
+  }
+  return false;
+}
+
+TEST(EnumeratorTest, TrimSetsNarrowCliquesButNotP2) {
+  // The analytic workload's shape: a degree-ordered BA graph.
+  const Graph g = RelabelByDegree(BarabasiAlbert(2000, 7, /*seed=*/1));
+  const GraphStats stats = ComputeGraphStats(g, true);
+  for (const char* name : {"triangle", "P3", "P7"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    const ExecutionPlan plan =
+        BuildPlan(pattern, g, stats, PlanOptions::Light());
+    EXPECT_TRUE(NarrowsAnIntersection(plan)) << name << "\n"
+                                             << plan.ToString();
+    EXPECT_NE(plan.ToString().find("trim(u"), std::string::npos) << name;
+    PlanOptions unbroken = PlanOptions::Light();
+    unbroken.symmetry_breaking = false;
+    const ExecutionPlan plain = BuildPlan(pattern, g, stats, unbroken);
+    for (int u = 0; u < pattern.NumVertices(); ++u) {
+      EXPECT_EQ(plain.comp_lower[static_cast<size_t>(u)], 0u) << name;
+      EXPECT_EQ(plain.comp_upper[static_cast<size_t>(u)], 0u) << name;
+    }
+  }
+  // P2's restrictions (u0 < u2, u1 < u3) order no COMP's operands against
+  // every reader of its candidate set.
+  Pattern p2;
+  ASSERT_TRUE(FindPattern("P2", &p2).ok());
+  const ExecutionPlan plan = BuildPlan(p2, g, stats, PlanOptions::Light());
+  for (int u = 0; u < p2.NumVertices(); ++u) {
+    EXPECT_EQ(plan.comp_lower[static_cast<size_t>(u)], 0u) << plan.ToString();
+    EXPECT_EQ(plan.comp_upper[static_cast<size_t>(u)], 0u) << plan.ToString();
+  }
+}
+
+TEST(EnumeratorTest, TrimThroughK2ReaderFollowsTheClosure) {
+  // K4 under the chain 0 < 1 < 2 < 3 and pi = (0, 1, 2, 3): C(u3) is read
+  // from C(u2) through K2, so trimming C(u2) by phi(u1) needs
+  // phi(u1) < phi(u3), which only the closure gives.
+  Pattern k4;
+  ASSERT_TRUE(FindPattern("k4", &k4).ok());
+  const PartialOrder chain = {{0, 1}, {1, 2}, {2, 3}};
+  const ExecutionPlan plan = BuildPlanWithConstraints(
+      k4, {0, 1, 2, 3}, PlanOptions::Light(), chain);
+  const std::vector<int>& k2 = plan.operands[3].k2;
+  ASSERT_NE(std::find(k2.begin(), k2.end(), 2), k2.end()) << plan.ToString();
+  EXPECT_EQ(plan.comp_lower[2], (1u << 0) | (1u << 1)) << plan.ToString();
+
+  PlanOptions unbroken = PlanOptions::Light();
+  unbroken.symmetry_breaking = false;
+  const ExecutionPlan plain = BuildPlanWithOrder(k4, {0, 1, 2, 3}, unbroken);
+  for (const Graph& g : {RelabelByDegree(BarabasiAlbert(400, 6, 3)),
+                         Complete(9), RelabelByDegree(ErdosRenyi(60, 500, 4))}) {
+    Enumerator broken(g, plan);
+    Enumerator all(g, plain);
+    const uint64_t subgraphs = broken.Count();
+    EXPECT_EQ(subgraphs * AutomorphismCount(k4), all.Count());
+    EXPECT_EQ(CountBothWays(g, plan, "k4 chain"), subgraphs);
+  }
+}
+
+TEST(EnumeratorTest, BulkLeafKeepsEveryCounterExact) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(300, 5, /*seed=*/9));
+  const GraphStats stats = ComputeGraphStats(g, true);
+  for (const char* name :
+       {"triangle", "P1", "P2", "P3", "P5", "P7", "square", "house"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    for (bool sb : {true, false}) {
+      for (PlanOptions options : {PlanOptions::Se(), PlanOptions::Light()}) {
+        options.symmetry_breaking = sb;
+        const ExecutionPlan plan = BuildPlan(pattern, g, stats, options);
+        CountBothWays(g, plan, std::string(name) + " sb=" +
+                                   std::to_string(sb) + "\n" +
+                                   plan.ToString());
+      }
+    }
+  }
+  // A disconnected pattern ends on a vertex with no operands: the leaf
+  // ranges over [lo, hi) of V(G) itself.
+  Pattern edge_plus_isolated(3);
+  edge_plus_isolated.AddEdge(0, 1);
+  const ExecutionPlan plan = BuildPlanWithOrder(edge_plus_isolated, {0, 1, 2},
+                                                PlanOptions::Se());
+  EXPECT_EQ(CountBothWays(g, plan, "edge + isolated vertex"),
+            BruteForceCountMatches(edge_plus_isolated, g,
+                                   plan.partial_order));
+}
+
+TEST(EnumeratorTest, LabeledAllowedAndInducedRunsStayExact) {
+  const Graph g = RelabelByDegree(ErdosRenyi(40, 200, /*seed=*/13));
+  const GraphStats stats = ComputeGraphStats(g, true);
+  std::vector<uint32_t> labels(g.NumVertices());
+  for (VertexID v = 0; v < g.NumVertices(); ++v) labels[v] = 1 + v % 2;
+  for (const char* name : {"triangle", "P2", "P3", "square"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    const PartialOrder order = ComputeSymmetryBreaking(pattern);
+
+    // Labeled: the last vertex in pi carries a label. Without symmetry
+    // breaking the count is the unlabeled matches whose last vertex lands
+    // on that label.
+    PlanOptions unbroken = PlanOptions::Light();
+    unbroken.symmetry_breaking = false;
+    const ExecutionPlan probe = BuildPlan(pattern, g, stats, unbroken);
+    const int last = probe.pi.back();
+    uint64_t expected_labeled = 0;
+    {
+      CollectingVisitor all;
+      Enumerator e(g, probe);
+      e.Enumerate(&all);
+      for (const auto& match : all.matches()) {
+        expected_labeled += labels[match[static_cast<size_t>(last)]] == 2;
+      }
+    }
+    Pattern labeled = pattern;
+    labeled.SetLabel(last, 2);
+    for (bool sb : {false, true}) {
+      PlanOptions options = PlanOptions::Light();
+      options.symmetry_breaking = sb;
+      const ExecutionPlan labeled_plan =
+          BuildPlan(labeled, g, stats, options);
+      const uint64_t count = CountBothWays(
+          g, labeled_plan, std::string(name) + " labeled", &labels);
+      if (!sb) EXPECT_EQ(count, expected_labeled) << name;
+    }
+
+    // Allowed candidates: the candidate space prunes, counts do not move.
+    const ExecutionPlan plan = BuildPlan(pattern, g, stats,
+                                         PlanOptions::Light());
+    const CandidateSpace space = BuildCandidateSpace(g, pattern, nullptr, {});
+    EXPECT_EQ(CountBothWays(g, plan, std::string(name) + " allowed", nullptr,
+                            &space.candidates),
+              BruteForceCountMatches(pattern, g, order))
+        << name;
+
+    // Induced: pattern non-edges checked per candidate.
+    PlanOptions induced = PlanOptions::Light();
+    induced.induced = true;
+    const ExecutionPlan induced_plan = BuildPlan(pattern, g, stats, induced);
+    EXPECT_EQ(CountBothWays(g, induced_plan, std::string(name) + " induced"),
+              BruteForceCountMatches(pattern, g, order, /*induced=*/true))
+        << name;
+  }
 }
 
 }  // namespace

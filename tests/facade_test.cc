@@ -211,6 +211,33 @@ TEST(FacadeTest, IepCountingMatchesEnumeration) {
   }
 }
 
+TEST(FacadeTest, IepCountsPast64BitIntermediatesStayExact) {
+  // A hub of degree 70,000: C(70000, 4) 4-stars fit 64 bits, but the IEP
+  // term that multiplies four tail sizes reaches 70000^4 > 2^64, and so do
+  // the 4! * C(70000, 4) embeddings before the |Aut| division.
+  const Graph star = Star(70'001);
+  Pattern star4;
+  ASSERT_TRUE(FindPattern("star4", &star4).ok());
+  for (int threads : {1, 4}) {
+    RunOptions iep;
+    iep.threads = threads;
+    iep.lint_plan = true;
+    iep.plan_options.count_strategy = CountStrategy::kIep;
+    const RunResult unique = light::Run(star, star4, iep);
+    ASSERT_TRUE(unique.ok()) << unique.error;
+    EXPECT_EQ(unique.num_matches, 1'000'330'918'912'482'500ULL) << threads;
+
+    // Every embedding: 24 * C(70000, 4) does not fit, and says so.
+    RunOptions all = iep;
+    all.unique_subgraphs = false;
+    const RunResult overflow = light::Run(star, star4, all);
+    EXPECT_EQ(overflow.outcome, QueryOutcome::kError) << threads;
+    EXPECT_EQ(overflow.error.rfind(kCountOverflowPrefix, 0), 0u)
+        << overflow.error;
+    EXPECT_EQ(overflow.num_matches, 0u);
+  }
+}
+
 TEST(FacadeTest, CountStrategyAutoMatchesEnumeration) {
   const Graph g = TestGraph();
   Pattern star;
