@@ -87,6 +87,36 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   LIGHT_CHECK(plan_.sigma[0].vertex == plan_.FirstVertex());
   LIGHT_CHECK(plan_.counted_tail.size() < num_ops_);
   tail_begin_op_ = num_ops_ - plan_.counted_tail.size();
+  suffix_begin_op_ = num_ops_;
+  if (!plan_.suffix.empty()) {
+    LIGHT_CHECK(!plan_.HasCountedTail());
+    suffix_begin_op_ = plan_.suffix.BeginOp(num_ops_);
+    if (plan_.suffix.vertices.size() == 2) {
+      suffix_alias_ = plan_.sigma[suffix_begin_op_ + 1].vertex;
+    }
+    const int a = plan_.suffix.set_vertex;
+    const int s1 = plan_.suffix.vertices[0];
+    uint32_t lower = plan_.comp_lower[static_cast<size_t>(a)];
+    uint32_t upper = plan_.comp_upper[static_cast<size_t>(a)];
+    for (int x : plan_.lower_bounds[static_cast<size_t>(s1)]) lower |= 1u << x;
+    for (int y : plan_.upper_bounds[static_cast<size_t>(s1)]) upper |= 1u << y;
+    uint32_t skip = plan_.suffix.excluded;
+    for (int u : plan_.suffix.vertices) skip |= 1u << u;
+    const Operands& ops = plan_.operands[static_cast<size_t>(a)];
+    const size_t k = ops.k1.size() + ops.k2.size();
+    for (int x = 0; x < n; ++x) {
+      if ((lower >> x) & 1u) suffix_lower_.push_back(x);
+      if ((upper >> x) & 1u) suffix_upper_.push_back(x);
+      if ((skip >> x) & 1u) continue;
+      uint32_t search = 0;
+      for (size_t i = 0; i < k; ++i) {
+        if (i >= ops.k1.size() || !plan_.pattern.HasEdge(x, ops.k1[i])) {
+          search |= 1u << i;
+        }
+      }
+      suffix_check_.push_back({x, search});
+    }
+  }
   if (!KernelAvailable(kernel_)) kernel_ = IntersectKernel::kHybrid;
 
   mapping_.assign(static_cast<size_t>(n), kInvalidVertex);
@@ -271,6 +301,8 @@ void Enumerator::RunRootImpl(VertexID v) {
   bound_values_.push_back(v);
   if (num_ops_ == 1) {
     EmitMatch();
+  } else if (FusesSuffix(0)) {
+    RunCountingSuffix();
   } else {
     Run(1);
   }
@@ -337,27 +369,9 @@ void Enumerator::RunCompute(size_t op_index) {
   if (ComputeCandidateSet(u) > 0) Run(op_index + 1);
 }
 
-uint32_t Enumerator::ComputeCandidateSet(int u) {
+size_t Enumerator::GatherOperands(int u, VertexID lo, VertexID hi) {
   const Operands& ops = plan_.operands[static_cast<size_t>(u)];
-  // Symmetry-breaking trim (ExecutionPlan::comp_lower/comp_upper): elements
-  // outside [lo, hi) can bind neither u nor any vertex reading C(u) through
-  // K2, so every sorted operand is narrowed before the intersection. A
-  // bitmap row stays valid for a narrowed array (probing the trimmed array
-  // through the full row yields the trimmed intersection); an all-bitmap
-  // AND may return elements outside the window, which MAT filters anyway.
-  const uint32_t lower_mask = plan_.comp_lower[static_cast<size_t>(u)];
-  const uint32_t upper_mask = plan_.comp_upper[static_cast<size_t>(u)];
-  VertexID lo = 0;
-  VertexID hi = graph_.NumVertices();
-  for (uint32_t m = lower_mask; m != 0; m &= m - 1) {
-    lo = std::max(lo, mapping_[static_cast<size_t>(std::countr_zero(m))] + 1);
-  }
-  for (uint32_t m = upper_mask; m != 0; m &= m - 1) {
-    hi = std::min(hi, mapping_[static_cast<size_t>(std::countr_zero(m))]);
-  }
-  const bool trim = (lower_mask | upper_mask) != 0;
   auto narrow = [&](std::span<const VertexID> s) -> std::span<const VertexID> {
-    if (!trim) return s;
     const VertexID* begin = s.data();
     const VertexID* end = s.data() + s.size();
     if (lo > 0) begin = std::lower_bound(begin, end, lo);
@@ -367,7 +381,10 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
   // K1 operands are graph neighborhoods and may carry bitmap-index rows;
   // K2 operands are earlier candidate sets and are always array-only. With
   // no index attached every view is array-only and the multiway hybrid
-  // degenerates to the pure Algorithm 4 routing.
+  // degenerates to the pure Algorithm 4 routing. A bitmap row stays valid
+  // for a narrowed array (probing the narrowed array through the full row
+  // yields the narrowed intersection); an all-bitmap AND may return
+  // elements outside [lo, hi), which MAT filters anyway.
   size_t k = 0;
   for (int x : ops.k1) {
     const VertexID mapped = mapping_[static_cast<size_t>(x)];
@@ -387,6 +404,24 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     sets_[k++] = SetView(narrow({cand_data_[static_cast<size_t>(y)],
                                  cand_size_[static_cast<size_t>(y)]}));
   }
+  return k;
+}
+
+uint32_t Enumerator::ComputeCandidateSet(int u) {
+  // Symmetry-breaking trim (ExecutionPlan::comp_lower/comp_upper): elements
+  // outside [lo, hi) can bind neither u nor any vertex reading C(u) through
+  // K2, so every sorted operand is narrowed before the intersection.
+  VertexID lo = 0;
+  VertexID hi = graph_.NumVertices();
+  for (uint32_t m = plan_.comp_lower[static_cast<size_t>(u)]; m != 0;
+       m &= m - 1) {
+    lo = std::max(lo, mapping_[static_cast<size_t>(std::countr_zero(m))] + 1);
+  }
+  for (uint32_t m = plan_.comp_upper[static_cast<size_t>(u)]; m != 0;
+       m &= m - 1) {
+    hi = std::min(hi, mapping_[static_cast<size_t>(std::countr_zero(m))]);
+  }
+  const size_t k = GatherOperands(u, lo, hi);
   // NOTE: the candidate-space restriction (allowed_) is deliberately NOT an
   // intersection operand here: stored candidate sets are reused through K2
   // by later vertices with different allowed lists, so baking u's
@@ -407,10 +442,16 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
         u, sets_[0].sorted.data(), static_cast<uint32_t>(sets_[0].size()));
     cand_data_[static_cast<size_t>(u)] = buffer.data();
   } else {
-    size_t size = IntersectMultiwayHybrid(
-        {sets_.data(), k}, buffer.data(), scratch_.data(),
-        word_scratch_.empty() ? nullptr : word_scratch_.data(),
-        word_scratch_.size(), kernel_, &stats_.intersections);
+    // Two array-only operands (the common case) skip the multiway sort and
+    // route: ChooseIntersectRoute would pick the array kernels anyway.
+    size_t size =
+        k == 2 && !sets_[0].has_bits() && !sets_[1].has_bits()
+            ? IntersectSorted(sets_[0].sorted, sets_[1].sorted, buffer.data(),
+                              kernel_, &stats_.intersections)
+            : IntersectMultiwayHybrid(
+                  {sets_.data(), k}, buffer.data(), scratch_.data(),
+                  word_scratch_.empty() ? nullptr : word_scratch_.data(),
+                  word_scratch_.size(), kernel_, &stats_.intersections);
     if (filter) {
       // In-place compaction over the vertex's own buffer.
       size = FilterByLabel(u, buffer.data(), static_cast<uint32_t>(size));
@@ -419,6 +460,64 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     cand_size_[static_cast<size_t>(u)] = static_cast<uint32_t>(size);
   }
   return cand_size_[static_cast<size_t>(u)];
+}
+
+void Enumerator::RunCountingSuffix() {
+  const CountingSuffix& suffix = plan_.suffix;
+  const int a = suffix.set_vertex;
+  if (bitmap_index_ != nullptr) {
+    // Bitmap routes keep the stored path (and its kernels).
+    for (int x : plan_.operands[static_cast<size_t>(a)].k1) {
+      if (bitmap_index_->Row(mapping_[static_cast<size_t>(x)]) != nullptr) {
+        Run(suffix_begin_op_);
+        return;
+      }
+    }
+  }
+  ScopedOpSpan span(trace_root_, "SUFFIX", a);
+  // The window shared by the suffix MATs. The plan made COMP(a)'s trim hold
+  // every MAT bound whenever an intersection or an alias depends on the
+  // narrowed operands, so they route exactly as the stored COMP(a) would.
+  VertexID lo = 0;
+  VertexID hi = graph_.NumVertices();
+  for (int x : suffix_lower_) {
+    lo = std::max(lo, mapping_[static_cast<size_t>(x)] + 1);
+  }
+  for (int y : suffix_upper_) {
+    hi = std::min(hi, mapping_[static_cast<size_t>(y)]);
+  }
+  const size_t k = GatherOperands(a, lo, hi);
+  ++stats_.comp_counts[static_cast<size_t>(a)];
+  const uint64_t size = IntersectMultiwayCount(
+      {sets_.data(), k}, cand_buffer_[static_cast<size_t>(a)].data(),
+      scratch_.data(), kernel_, &stats_.intersections);
+  uint64_t m = size;
+  // Injectivity, for the bound vertices the plan could not exclude: one
+  // that lies in the window and in every operand is one non-candidate.
+  for (const SuffixCheck& check : suffix_check_) {
+    const VertexID v = mapping_[static_cast<size_t>(check.vertex)];
+    if (v < lo || v >= hi) continue;
+    bool member = true;
+    for (uint32_t i = check.search; i != 0 && member; i &= i - 1) {
+      const std::span<const VertexID> set = sets_[std::countr_zero(i)].sorted;
+      member = std::binary_search(set.begin(), set.end(), v);
+    }
+    if (member) --m;
+  }
+  // The amounts the stored path adds: MAT(s1) binds m vertices, and with
+  // j = 2 the alias COMP runs when C(a) is non-empty and MAT(s2) extends
+  // each binding.
+  stats_.mat_counts[static_cast<size_t>(suffix.vertices[0])] += m;
+  stats_.num_partial_results += m;
+  if (suffix_alias_ < 0) {
+    stats_.num_matches += m;
+    return;
+  }
+  if (size > 0) ++stats_.comp_counts[static_cast<size_t>(suffix_alias_)];
+  const uint64_t pairs = suffix.ordered ? m * (m - 1) / 2 : m * (m - 1);
+  stats_.mat_counts[static_cast<size_t>(suffix.vertices[1])] += pairs;
+  stats_.num_partial_results += pairs;
+  stats_.num_matches += pairs;
 }
 
 void Enumerator::RunCountedTail() {
@@ -469,6 +568,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
 
   const bool last_op = op_index + 1 == num_ops_;
   const bool counting_leaf = last_op && visitor_ == nullptr;
+  const bool fuse_suffix = FusesSuffix(op_index);
   // A universal vertex without a candidate space ranges over [lo, hi) of
   // V(G) itself; every other vertex over the window of its sorted set (a
   // universal one with a candidate space: the allowed list COMP pointed
@@ -540,6 +640,8 @@ void Enumerator::RunMaterialize(size_t op_index) {
     bound_values_.push_back(v);
     if (last_op) {
       EmitMatch();
+    } else if (fuse_suffix) {
+      RunCountingSuffix();
     } else {
       Run(op_index + 1);
     }

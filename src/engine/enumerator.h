@@ -166,6 +166,21 @@ class Enumerator {
   /// Intersection core shared by RunCompute and RunCountedTail: fills
   /// cand_data_/cand_size_ for non-universal vertex u, returns the size.
   uint32_t ComputeCandidateSet(int u);
+  /// Fills sets_ with COMP(u)'s operands narrowed to [lo, hi); returns
+  /// their number.
+  size_t GatherOperands(int u, VertexID lo, VertexID hi);
+  /// The plan's counting suffix, run from its parent MAT's loop in a
+  /// counting run with no allowed list: counts C(a) within the suffix window
+  /// with a count-only intersection and adds the count (m, C(m,2) or
+  /// m(m-1)) plus exactly the counters the stored path would add. Falls
+  /// back to Run() for a binding whose operands carry bitmap rows.
+  void RunCountingSuffix();
+  /// Whether the op after a MAT at `op_index` is the counting suffix and
+  /// this run may take it.
+  bool FusesSuffix(size_t op_index) const {
+    return op_index + 1 == suffix_begin_op_ && visitor_ == nullptr &&
+           allowed_ == nullptr;
+  }
   void EmitMatch();
   bool CheckDeadline();
 
@@ -206,6 +221,22 @@ class Enumerator {
   /// Index in sigma of the first counted-tail COMP; num_ops_ when the plan
   /// has no counted tail.
   size_t tail_begin_op_ = 0;
+  /// Index in sigma of the counting suffix's COMP(a); num_ops_ when the
+  /// plan has none. suffix_alias_ is its alias COMP's vertex (-1 when
+  /// j = 1); suffix_lower_/suffix_upper_ bound its window (MAT(s1)'s bounds
+  /// and COMP(a)'s trim).
+  size_t suffix_begin_op_ = 0;
+  int suffix_alias_ = -1;
+  std::vector<int> suffix_lower_;
+  std::vector<int> suffix_upper_;
+  /// A bound vertex the plan could not exclude from the suffix window, and
+  /// the operands (bit i = sets_[i]) that must be searched for it: a K1
+  /// operand N(phi(y)) with a pattern edge (x, y) always holds phi(x).
+  struct SuffixCheck {
+    int vertex;
+    uint32_t search;
+  };
+  std::vector<SuffixCheck> suffix_check_;
 
   // Per pattern vertex.
   std::vector<VertexID> mapping_;

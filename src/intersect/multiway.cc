@@ -8,6 +8,22 @@
 #include "common/types.h"
 
 namespace light {
+namespace {
+
+/// Operand indices ascending by size (the min property of Definition II.6).
+template <typename Set>
+std::array<uint32_t, kMaxPatternVertices> SizeOrder(std::span<const Set> sets) {
+  std::array<uint32_t, kMaxPatternVertices> order;
+  const size_t k = sets.size();
+  for (size_t i = 0; i < k; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
+            [&](uint32_t a, uint32_t b) {
+              return sets[a].size() < sets[b].size();
+            });
+  return order;
+}
+
+}  // namespace
 
 size_t IntersectMultiway(std::span<const std::span<const VertexID>> sets,
                          VertexID* out, VertexID* scratch,
@@ -26,13 +42,7 @@ size_t IntersectMultiway(std::span<const std::span<const VertexID>> sets,
     return sets[0].size();
   }
 
-  // Order operands ascending by size (min property).
-  std::array<uint32_t, kMaxPatternVertices> order;
-  for (size_t i = 0; i < k; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-            [&](uint32_t a, uint32_t b) {
-              return sets[a].size() < sets[b].size();
-            });
+  const std::array<uint32_t, kMaxPatternVertices> order = SizeOrder(sets);
 
   // Ping-pong between scratch and out so the final intersection lands in
   // out: with r = k - 1 pairwise steps, start in `out` when r is odd.
@@ -74,13 +84,7 @@ size_t IntersectMultiwayHybrid(std::span<const SetView> sets, VertexID* out,
 
   const size_t effective_words = word_scratch == nullptr ? 0 : words;
 
-  // Order operands ascending by size (min property).
-  std::array<uint32_t, kMaxPatternVertices> order;
-  for (size_t i = 0; i < k; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-            [&](uint32_t a, uint32_t b) {
-              return sets[a].size() < sets[b].size();
-            });
+  const std::array<uint32_t, kMaxPatternVertices> order = SizeOrder(sets);
 
   // All-bitmap fast path: when every operand carries a bitmap and the AND
   // wins the cost model already for the two smallest operands, collapse the
@@ -124,6 +128,33 @@ size_t IntersectMultiwayHybrid(std::span<const SetView> sets, VertexID* out,
     std::memcpy(out, bufs[cur], size * sizeof(VertexID));
   }
   return size;
+}
+
+size_t IntersectMultiwayCount(std::span<const SetView> sets, VertexID* out,
+                              VertexID* scratch, IntersectKernel kernel,
+                              IntersectStats* stats) {
+  const size_t k = sets.size();
+  LIGHT_CHECK(k >= 1);
+  LIGHT_CHECK(k <= kMaxPatternVertices);
+  if (k == 1) return sets[0].size();
+  if (k == 2) {
+    return IntersectSortedCount(sets[0].sorted, sets[1].sorted, kernel, stats);
+  }
+  const std::array<uint32_t, kMaxPatternVertices> order = SizeOrder(sets);
+  VertexID* bufs[2] = {scratch, out};
+  int cur = 0;
+  size_t size = IntersectSorted(sets[order[0]].sorted, sets[order[1]].sorted,
+                                bufs[cur], kernel, stats);
+  for (size_t i = 2; i + 1 < k; ++i) {
+    if (size == 0) return 0;
+    const int next = cur ^ 1;
+    size = IntersectSorted({bufs[cur], size}, sets[order[i]].sorted,
+                           bufs[next], kernel, stats);
+    cur = next;
+  }
+  if (size == 0) return 0;
+  return IntersectSortedCount({bufs[cur], size}, sets[order[k - 1]].sorted,
+                              kernel, stats);
 }
 
 }  // namespace light

@@ -37,6 +37,17 @@ size_t IntersectMultiwayHybrid(std::span<const SetView> sets, VertexID* out,
                                size_t words, IntersectKernel kernel,
                                IntersectStats* stats = nullptr);
 
+/// Result-size-only variant over the operands' sorted arrays (bitmap rows
+/// are not consulted): the same operand order, pairwise routes and stats as
+/// IntersectMultiwayHybrid over array-only operands. With k >= 3 operands
+/// the intermediate results still go through `out` and `scratch` (same
+/// capacity as IntersectMultiway); the last step counts instead of storing,
+/// so k <= 2 writes nothing and may pass nullptr for both. k == 1 returns
+/// the operand's size.
+size_t IntersectMultiwayCount(std::span<const SetView> sets, VertexID* out,
+                              VertexID* scratch, IntersectKernel kernel,
+                              IntersectStats* stats = nullptr);
+
 }  // namespace light
 
 #endif  // LIGHT_INTERSECT_MULTIWAY_H_

@@ -1,18 +1,33 @@
 #include "intersect/set_intersection.h"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "common/check.h"
 
 namespace light {
 namespace internal {
+namespace {
 
-size_t MergeIntersect(const VertexID* a, size_t na, const VertexID* b,
-                      size_t nb, VertexID* out) {
+// Each kernel is written once: kCount = true walks the same way but counts
+// its matches instead of storing them (out is then unused).
+template <bool kCount>
+size_t Merge(const VertexID* a, size_t na, const VertexID* b, size_t nb,
+             VertexID* out) {
   size_t i = 0;
   size_t j = 0;
   size_t n = 0;
+  if constexpr (kCount) {
+    // Branch-free: nothing is stored, so the match test need not branch.
+    while (i < na && j < nb) {
+      const VertexID x = a[i];
+      const VertexID y = b[j];
+      n += x == y;
+      i += x <= y;
+      j += y <= x;
+    }
+    return n;
+  }
   while (i < na && j < nb) {
     const VertexID x = a[i];
     const VertexID y = b[j];
@@ -27,6 +42,49 @@ size_t MergeIntersect(const VertexID* a, size_t na, const VertexID* b,
     }
   }
   return n;
+}
+
+template <bool kCount>
+size_t Galloping(const VertexID* small, size_t nsmall, const VertexID* large,
+                 size_t nlarge, VertexID* out) {
+  size_t n = 0;
+  size_t pos = 0;
+  for (size_t i = 0; i < nsmall; ++i) {
+    const VertexID x = small[i];
+    pos = GallopLowerBound(large, nlarge, pos, x);
+    if (pos == nlarge) break;
+    if (large[pos] == x) {
+      if constexpr (!kCount) out[n] = x;
+      ++n;
+      ++pos;
+    }
+  }
+  return n;
+}
+
+template <bool kCount>
+size_t BinarySearch(const VertexID* small, size_t nsmall,
+                    const VertexID* large, size_t nlarge, VertexID* out) {
+  size_t n = 0;
+  for (size_t i = 0; i < nsmall; ++i) {
+    if (std::binary_search(large, large + nlarge, small[i])) {
+      if constexpr (!kCount) out[n] = small[i];
+      ++n;
+    }
+  }
+  return n;
+}
+
+}  // namespace
+
+size_t MergeIntersect(const VertexID* a, size_t na, const VertexID* b,
+                      size_t nb, VertexID* out) {
+  return Merge<false>(a, na, b, nb, out);
+}
+
+size_t MergeCount(const VertexID* a, size_t na, const VertexID* b,
+                  size_t nb) {
+  return Merge<true>(a, na, b, nb, nullptr);
 }
 
 // First index in arr[start, n) whose value is >= key, found by exponential
@@ -48,35 +106,31 @@ size_t GallopLowerBound(const VertexID* arr, size_t n, size_t start,
 
 size_t GallopingIntersect(const VertexID* small, size_t nsmall,
                           const VertexID* large, size_t nlarge, VertexID* out) {
-  size_t n = 0;
-  size_t pos = 0;
-  for (size_t i = 0; i < nsmall; ++i) {
-    const VertexID x = small[i];
-    pos = GallopLowerBound(large, nlarge, pos, x);
-    if (pos == nlarge) break;
-    if (large[pos] == x) {
-      out[n++] = x;
-      ++pos;
-    }
-  }
-  return n;
+  return Galloping<false>(small, nsmall, large, nlarge, out);
+}
+
+size_t GallopingCount(const VertexID* small, size_t nsmall,
+                      const VertexID* large, size_t nlarge) {
+  return Galloping<true>(small, nsmall, large, nlarge, nullptr);
 }
 
 size_t BinarySearchIntersect(const VertexID* small, size_t nsmall,
                              const VertexID* large, size_t nlarge,
                              VertexID* out) {
-  size_t n = 0;
-  for (size_t i = 0; i < nsmall; ++i) {
-    if (std::binary_search(large, large + nlarge, small[i])) {
-      out[n++] = small[i];
-    }
-  }
-  return n;
+  return BinarySearch<false>(small, nsmall, large, nlarge, out);
+}
+
+size_t BinarySearchCount(const VertexID* small, size_t nsmall,
+                         const VertexID* large, size_t nlarge) {
+  return BinarySearch<true>(small, nsmall, large, nlarge, nullptr);
 }
 
 }  // namespace internal
 
 namespace {
+
+enum class Method : uint8_t { kMerge, kGalloping, kBinarySearch };
+enum class Width : uint8_t { kScalar, kAvx2, kAvx512 };
 
 bool RouteToGalloping(size_t na, size_t nb) {
   // Algorithm 4: Merge when |S1|/|S2| < delta and |S2|/|S1| < delta,
@@ -88,90 +142,111 @@ bool RouteToGalloping(size_t na, size_t nb) {
          kHybridSkewThreshold * static_cast<double>(lo);
 }
 
-size_t Dispatch(const VertexID* a, size_t na, const VertexID* b, size_t nb,
-                VertexID* out, IntersectKernel kernel, IntersectStats* stats) {
-  if (stats != nullptr) ++stats->num_intersections;
+// The method `kernel` runs on operands of sizes na and nb (Algorithm 4 for
+// the hybrids), with its IntersectStats accounting.
+Method Route(IntersectKernel kernel, size_t na, size_t nb,
+             IntersectStats* stats) {
+  Method method = Method::kMerge;
   switch (kernel) {
     case IntersectKernel::kMerge:
-      if (stats != nullptr) ++stats->num_merge;
-      return internal::MergeIntersect(a, na, b, nb, out);
     case IntersectKernel::kMergeAvx2:
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX2)
-      return internal::MergeIntersectAvx2(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
-#endif
-    case IntersectKernel::kGalloping:
-      if (stats != nullptr) ++stats->num_galloping;
-      if (na > nb) {
-        std::swap(a, b);
-        std::swap(na, nb);
-      }
-      return internal::GallopingIntersect(a, na, b, nb, out);
-    case IntersectKernel::kBinarySearch:
-      if (stats != nullptr) ++stats->num_binary_search;
-      if (na > nb) {
-        std::swap(a, b);
-        std::swap(na, nb);
-      }
-      return internal::BinarySearchIntersect(a, na, b, nb, out);
-    case IntersectKernel::kHybrid:
-      if (RouteToGalloping(na, nb)) {
-        if (stats != nullptr) ++stats->num_galloping;
-        if (na > nb) {
-          std::swap(a, b);
-          std::swap(na, nb);
-        }
-        return internal::GallopingIntersect(a, na, b, nb, out);
-      }
-      if (stats != nullptr) ++stats->num_merge;
-      return internal::MergeIntersect(a, na, b, nb, out);
-    case IntersectKernel::kHybridAvx2:
-      if (RouteToGalloping(na, nb)) {
-        if (stats != nullptr) ++stats->num_galloping;
-        if (na > nb) {
-          std::swap(a, b);
-          std::swap(na, nb);
-        }
-#if defined(LIGHT_HAVE_AVX2)
-        return internal::GallopingIntersectAvx2(a, na, b, nb, out);
-#else
-        return internal::GallopingIntersect(a, na, b, nb, out);
-#endif
-      }
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX2)
-      return internal::MergeIntersectAvx2(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
-#endif
     case IntersectKernel::kMergeAvx512:
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX512)
-      return internal::MergeIntersectAvx512(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
-#endif
+      break;
+    case IntersectKernel::kGalloping:
+      method = Method::kGalloping;
+      break;
+    case IntersectKernel::kBinarySearch:
+      method = Method::kBinarySearch;
+      break;
+    case IntersectKernel::kHybrid:
+    case IntersectKernel::kHybridAvx2:
     case IntersectKernel::kHybridAvx512:
-      if (RouteToGalloping(na, nb)) {
-        if (stats != nullptr) ++stats->num_galloping;
-        if (na > nb) {
-          std::swap(a, b);
-          std::swap(na, nb);
-        }
-#if defined(LIGHT_HAVE_AVX512)
-        return internal::GallopingIntersectAvx512(a, na, b, nb, out);
-#else
-        return internal::GallopingIntersect(a, na, b, nb, out);
+      if (RouteToGalloping(na, nb)) method = Method::kGalloping;
+      break;
+  }
+  if (stats != nullptr) {
+    ++stats->num_intersections;
+    switch (method) {
+      case Method::kMerge:
+        ++stats->num_merge;
+        break;
+      case Method::kGalloping:
+        ++stats->num_galloping;
+        break;
+      case Method::kBinarySearch:
+        ++stats->num_binary_search;
+        break;
+    }
+  }
+  return method;
+}
+
+// SIMD width of the merge and galloping kernels behind `kernel`; scalar when
+// the build lacks it (binary search is always scalar).
+Width KernelWidth(IntersectKernel kernel) {
+  switch (kernel) {
+#if defined(LIGHT_HAVE_AVX2)
+    case IntersectKernel::kMergeAvx2:
+    case IntersectKernel::kHybridAvx2:
+      return Width::kAvx2;
 #endif
+#if defined(LIGHT_HAVE_AVX512)
+    case IntersectKernel::kMergeAvx512:
+    case IntersectKernel::kHybridAvx512:
+      return Width::kAvx512;
+#endif
+    default:
+      return Width::kScalar;
+  }
+}
+
+// Runs the routed kernel; out == nullptr selects its count-only twin.
+size_t Dispatch(const VertexID* a, size_t na, const VertexID* b, size_t nb,
+                VertexID* out, IntersectKernel kernel, IntersectStats* stats) {
+  const Method method = Route(kernel, na, nb, stats);
+  if (method != Method::kMerge && na > nb) {
+    // Galloping and binary search walk the smaller operand.
+    std::swap(a, b);
+    std::swap(na, nb);
+  }
+  const bool count = out == nullptr;
+  switch (method) {
+    case Method::kBinarySearch:
+      return count ? internal::BinarySearchCount(a, na, b, nb)
+                   : internal::BinarySearchIntersect(a, na, b, nb, out);
+    case Method::kMerge:
+      switch (KernelWidth(kernel)) {
+#if defined(LIGHT_HAVE_AVX2)
+        case Width::kAvx2:
+          return count ? internal::MergeCountAvx2(a, na, b, nb)
+                       : internal::MergeIntersectAvx2(a, na, b, nb, out);
+#endif
+#if defined(LIGHT_HAVE_AVX512)
+        case Width::kAvx512:
+          return count ? internal::MergeCountAvx512(a, na, b, nb)
+                       : internal::MergeIntersectAvx512(a, na, b, nb, out);
+#endif
+        default:
+          return count ? internal::MergeCount(a, na, b, nb)
+                       : internal::MergeIntersect(a, na, b, nb, out);
       }
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX512)
-      return internal::MergeIntersectAvx512(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
+    case Method::kGalloping:
+      switch (KernelWidth(kernel)) {
+#if defined(LIGHT_HAVE_AVX2)
+        case Width::kAvx2:
+          return count ? internal::GallopingCountAvx2(a, na, b, nb)
+                       : internal::GallopingIntersectAvx2(a, na, b, nb, out);
 #endif
+#if defined(LIGHT_HAVE_AVX512)
+        case Width::kAvx512:
+          return count
+                     ? internal::GallopingCountAvx512(a, na, b, nb)
+                     : internal::GallopingIntersectAvx512(a, na, b, nb, out);
+#endif
+        default:
+          return count ? internal::GallopingCount(a, na, b, nb)
+                       : internal::GallopingIntersect(a, na, b, nb, out);
+      }
   }
   LIGHT_CHECK(false);
   return 0;
@@ -182,21 +257,16 @@ size_t Dispatch(const VertexID* a, size_t na, const VertexID* b, size_t nb,
 size_t IntersectSorted(std::span<const VertexID> a, std::span<const VertexID> b,
                        VertexID* out, IntersectKernel kernel,
                        IntersectStats* stats) {
+  // A null `out` is legal only for an empty operand (capacity 0), where the
+  // count-only route it selects returns the same 0.
   return Dispatch(a.data(), a.size(), b.data(), b.size(), out, kernel, stats);
 }
 
 size_t IntersectSortedCount(std::span<const VertexID> a,
                             std::span<const VertexID> b, IntersectKernel kernel,
                             IntersectStats* stats) {
-  // Counting reuses the materializing kernels through a small stack buffer
-  // chunking scheme would complicate the kernels; instead allocate on the
-  // side only for large results. The engine always materializes, so this
-  // path is used by tools/examples where the extra copy is irrelevant.
-  thread_local std::vector<VertexID> scratch;
-  const size_t cap = std::min(a.size(), b.size());
-  if (scratch.size() < cap) scratch.resize(cap);
-  return Dispatch(a.data(), a.size(), b.data(), b.size(), scratch.data(),
-                  kernel, stats);
+  return Dispatch(a.data(), a.size(), b.data(), b.size(), nullptr, kernel,
+                  stats);
 }
 
 bool KernelAvailable(IntersectKernel kernel) {

@@ -64,14 +64,18 @@ struct IntersectStats {
 };
 
 /// Intersects sorted sets a and b into out (capacity >= min(|a|, |b|)),
-/// returning the result size. `out` must not alias either input. Updates
-/// stats if non-null. Falls back to scalar kernels when AVX2 was not built.
+/// returning the result size. Every kernel writes only out[0, result size):
+/// nothing past it, so an exactly-sized `out` is safe. `out` must not alias
+/// either input. Updates stats if non-null. Falls back to scalar kernels
+/// when AVX2 was not built.
 size_t IntersectSorted(std::span<const VertexID> a, std::span<const VertexID> b,
                        VertexID* out, IntersectKernel kernel,
                        IntersectStats* stats = nullptr);
 
-/// Result-size-only variant (no output materialization); same routing and
-/// stats accounting.
+/// |a ∩ b| without writing the intersection anywhere: the count-only
+/// kernels (merge, galloping and binary search, scalar and SIMD) popcount
+/// their matches instead of storing them. Same routing and stats
+/// accounting as IntersectSorted.
 size_t IntersectSortedCount(std::span<const VertexID> a,
                             std::span<const VertexID> b,
                             IntersectKernel kernel,
@@ -103,6 +107,12 @@ size_t GallopingIntersect(const VertexID* small, size_t nsmall,
 size_t BinarySearchIntersect(const VertexID* small, size_t nsmall,
                              const VertexID* large, size_t nlarge,
                              VertexID* out);
+// Count-only twins of the kernels above: the same walk, no stores.
+size_t MergeCount(const VertexID* a, size_t na, const VertexID* b, size_t nb);
+size_t GallopingCount(const VertexID* small, size_t nsmall,
+                      const VertexID* large, size_t nlarge);
+size_t BinarySearchCount(const VertexID* small, size_t nsmall,
+                         const VertexID* large, size_t nlarge);
 
 #if defined(LIGHT_HAVE_AVX2)
 size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
@@ -110,6 +120,10 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
 size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
                               const VertexID* large, size_t nlarge,
                               VertexID* out);
+size_t MergeCountAvx2(const VertexID* a, size_t na, const VertexID* b,
+                      size_t nb);
+size_t GallopingCountAvx2(const VertexID* small, size_t nsmall,
+                          const VertexID* large, size_t nlarge);
 #endif
 
 #if defined(LIGHT_HAVE_AVX512)
@@ -118,6 +132,10 @@ size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
 size_t GallopingIntersectAvx512(const VertexID* small, size_t nsmall,
                                 const VertexID* large, size_t nlarge,
                                 VertexID* out);
+size_t MergeCountAvx512(const VertexID* a, size_t na, const VertexID* b,
+                        size_t nb);
+size_t GallopingCountAvx512(const VertexID* small, size_t nsmall,
+                            const VertexID* large, size_t nlarge);
 #endif
 
 }  // namespace internal

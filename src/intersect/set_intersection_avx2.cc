@@ -49,11 +49,19 @@ inline __m256i AllPairsEq(__m256i a_vec, __m256i b_vec) {
   return match;
 }
 
-}  // namespace
+// Lanes [0, count) set: the store mask for the first `count` packed lanes.
+inline __m256i PrefixMask(int count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(count),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
-size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
-                          size_t nb, VertexID* out) {
-  const ShuffleTable& table = GetShuffleTable();
+// kCount = true counts the matches and stores nothing (out is unused).
+template <bool kCount>
+size_t MergeAvx2(const VertexID* a, size_t na, const VertexID* b, size_t nb,
+                 VertexID* out) {
+  // The caller guarantees room for min(na, nb) results and no more.
+  const size_t capacity = std::min(na, nb);
+  const ShuffleTable* table = kCount ? nullptr : &GetShuffleTable();
   size_t i = 0;
   size_t j = 0;
   size_t n = 0;
@@ -65,11 +73,20 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
     const __m256i match = AllPairsEq(a_vec, b_vec);
     const int mask = _mm256_movemask_ps(_mm256_castsi256_ps(match));
     if (mask != 0) {
-      const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(table.idx[mask]));
-      const __m256i packed = _mm256_permutevar8x32_epi32(a_vec, perm);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n), packed);
-      n += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
+      const int found = __builtin_popcount(static_cast<unsigned>(mask));
+      if constexpr (!kCount) {
+        const __m256i perm = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(table->idx[mask]));
+        const __m256i packed = _mm256_permutevar8x32_epi32(a_vec, perm);
+        if (n + 8 <= capacity) {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n), packed);
+        } else {
+          // Near the end of `out`: a full 8-lane store would run past it.
+          _mm256_maskstore_epi32(reinterpret_cast<int*>(out + n),
+                                 PrefixMask(found), packed);
+        }
+      }
+      n += static_cast<size_t>(found);
     }
     const VertexID a_max = a[i + 7];
     const VertexID b_max = b[j + 7];
@@ -77,6 +94,7 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
     if (b_max <= a_max) j += 8;
   }
   // Scalar tail.
+  if constexpr (kCount) return n + MergeCount(a + i, na - i, b + j, nb - j);
   while (i < na && j < nb) {
     const VertexID x = a[i];
     const VertexID y = b[j];
@@ -93,9 +111,9 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
   return n;
 }
 
-size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
-                              const VertexID* large, size_t nlarge,
-                              VertexID* out) {
+template <bool kCount>
+size_t GallopingAvx2(const VertexID* small, size_t nsmall,
+                     const VertexID* large, size_t nlarge, VertexID* out) {
   size_t n = 0;
   size_t pos = 0;
   for (size_t i = 0; i < nsmall; ++i) {
@@ -132,23 +150,50 @@ size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
     }
     const size_t blk_lo = lo + a * 8;
     pos = blk_lo;
+    bool found = false;
     if (blk_lo + 8 <= nlarge) {
       const __m256i key = _mm256_set1_epi32(static_cast<int>(x));
       const __m256i block =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(large + blk_lo));
-      const int mask = _mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(key, block)));
-      if (mask != 0) out[n++] = x;
+      found = _mm256_movemask_ps(_mm256_castsi256_ps(
+                  _mm256_cmpeq_epi32(key, block))) != 0;
     } else {
       for (size_t p = blk_lo; p < nlarge && large[p] <= x; ++p) {
         if (large[p] == x) {
-          out[n++] = x;
+          found = true;
           break;
         }
       }
     }
+    if (found) {
+      if constexpr (!kCount) out[n] = x;
+      ++n;
+    }
   }
   return n;
+}
+
+}  // namespace
+
+size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
+                          size_t nb, VertexID* out) {
+  return MergeAvx2<false>(a, na, b, nb, out);
+}
+
+size_t MergeCountAvx2(const VertexID* a, size_t na, const VertexID* b,
+                      size_t nb) {
+  return MergeAvx2<true>(a, na, b, nb, nullptr);
+}
+
+size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
+                              const VertexID* large, size_t nlarge,
+                              VertexID* out) {
+  return GallopingAvx2<false>(small, nsmall, large, nlarge, out);
+}
+
+size_t GallopingCountAvx2(const VertexID* small, size_t nsmall,
+                          const VertexID* large, size_t nlarge) {
+  return GallopingAvx2<true>(small, nsmall, large, nlarge, nullptr);
 }
 
 }  // namespace light::internal

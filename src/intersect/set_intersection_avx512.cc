@@ -39,10 +39,11 @@ inline __mmask16 AllPairsEq(__m512i a_vec, __m512i b_vec) {
   return match;
 }
 
-}  // namespace
-
-size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
-                            size_t nb, VertexID* out) {
+// kCount = true counts the matches and stores nothing (out is unused). The
+// compress-store writes only the matched lanes, so `out` needs no slack.
+template <bool kCount>
+size_t MergeAvx512(const VertexID* a, size_t na, const VertexID* b, size_t nb,
+                   VertexID* out) {
   size_t i = 0;
   size_t j = 0;
   size_t n = 0;
@@ -52,7 +53,9 @@ size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
     const __m512i b_vec =
         _mm512_loadu_si512(reinterpret_cast<const void*>(b + j));
     const __mmask16 match = AllPairsEq(a_vec, b_vec);
-    if (match != 0) {
+    if constexpr (kCount) {
+      n += static_cast<size_t>(__builtin_popcount(match));
+    } else if (match != 0) {
       _mm512_mask_compressstoreu_epi32(out + n, match, a_vec);
       n += static_cast<size_t>(__builtin_popcount(match));
     }
@@ -61,6 +64,7 @@ size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
     if (a_max <= b_max) i += 16;
     if (b_max <= a_max) j += 16;
   }
+  if constexpr (kCount) return n + MergeCount(a + i, na - i, b + j, nb - j);
   while (i < na && j < nb) {
     const VertexID x = a[i];
     const VertexID y = b[j];
@@ -77,9 +81,9 @@ size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
   return n;
 }
 
-size_t GallopingIntersectAvx512(const VertexID* small, size_t nsmall,
-                                const VertexID* large, size_t nlarge,
-                                VertexID* out) {
+template <bool kCount>
+size_t GallopingAvx512(const VertexID* small, size_t nsmall,
+                       const VertexID* large, size_t nlarge, VertexID* out) {
   size_t n = 0;
   size_t pos = 0;
   for (size_t i = 0; i < nsmall; ++i) {
@@ -112,21 +116,49 @@ size_t GallopingIntersectAvx512(const VertexID* small, size_t nsmall,
     }
     const size_t blk_lo = lo + a * 16;
     pos = blk_lo;
+    bool found = false;
     if (blk_lo + 16 <= nlarge) {
       const __m512i key = _mm512_set1_epi32(static_cast<int>(x));
       const __m512i block =
           _mm512_loadu_si512(reinterpret_cast<const void*>(large + blk_lo));
-      if (_mm512_cmpeq_epi32_mask(key, block) != 0) out[n++] = x;
+      found = _mm512_cmpeq_epi32_mask(key, block) != 0;
     } else {
       for (size_t p = blk_lo; p < nlarge && large[p] <= x; ++p) {
         if (large[p] == x) {
-          out[n++] = x;
+          found = true;
           break;
         }
       }
     }
+    if (found) {
+      if constexpr (!kCount) out[n] = x;
+      ++n;
+    }
   }
   return n;
+}
+
+}  // namespace
+
+size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
+                            size_t nb, VertexID* out) {
+  return MergeAvx512<false>(a, na, b, nb, out);
+}
+
+size_t MergeCountAvx512(const VertexID* a, size_t na, const VertexID* b,
+                        size_t nb) {
+  return MergeAvx512<true>(a, na, b, nb, nullptr);
+}
+
+size_t GallopingIntersectAvx512(const VertexID* small, size_t nsmall,
+                                const VertexID* large, size_t nlarge,
+                                VertexID* out) {
+  return GallopingAvx512<false>(small, nsmall, large, nlarge, out);
+}
+
+size_t GallopingCountAvx512(const VertexID* small, size_t nsmall,
+                            const VertexID* large, size_t nlarge) {
+  return GallopingAvx512<true>(small, nsmall, large, nlarge, nullptr);
 }
 
 }  // namespace light::internal

@@ -231,6 +231,7 @@ ExecutionPlan BuildIepTermPlan(const IepTerm& term, const GraphStats& stats,
     }
   }
   plan.counted_tail = term.counted_tail;
+  plan.suffix = CountingSuffix();  // the kernel's suffix no longer ends sigma
   return plan;
 }
 

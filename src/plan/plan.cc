@@ -208,6 +208,134 @@ void WireInducedChecks(ExecutionPlan* plan) {
   }
 }
 
+uint32_t Mask(const std::vector<int>& vertices) {
+  uint32_t mask = 0;
+  for (int x : vertices) mask |= uint32_t{1} << x;
+  return mask;
+}
+
+/// K1 operands of COMP(u) and, through K2, of every set C(u) is computed
+/// from: vertices whose neighborhood contains all of C(u), so none of them
+/// lies in it (N(v) never holds v).
+uint32_t NeighborhoodOperands(const ExecutionPlan& plan, int u) {
+  const Operands& ops = plan.operands[static_cast<size_t>(u)];
+  uint32_t mask = Mask(ops.k1);
+  for (int y : ops.k2) mask |= NeighborhoodOperands(plan, y);
+  return mask;
+}
+
+void WireCountingSuffix(ExecutionPlan* plan) {
+  plan->suffix = CountingSuffix();
+  const ExecutionOrder& sigma = plan->sigma;
+  const size_t num_ops = sigma.size();
+  // The trailing MATs, then the COMPs right before them; a MAT precedes
+  // those (the COMP run ends there), and it binds the parent vertex.
+  size_t mats = 0;
+  while (mats < num_ops &&
+         sigma[num_ops - 1 - mats].type == OpType::kMaterialize) {
+    ++mats;
+  }
+  size_t comps = 0;
+  while (mats + comps < num_ops &&
+         sigma[num_ops - 1 - mats - comps].type == OpType::kCompute) {
+    ++comps;
+  }
+  if (mats == 0 || mats > 2 || comps != mats || mats + comps == num_ops) {
+    return;
+  }
+  const size_t begin = num_ops - 2 * mats;
+  const int a = sigma[begin].vertex;
+  const Operands& set_ops = plan->operands[static_cast<size_t>(a)];
+  const size_t num_operands = set_ops.k1.size() + set_ops.k2.size();
+  if (num_operands == 0) return;  // C(a) = V(G): the dense MAT handles it
+  uint32_t comp_mask = 0;
+  uint32_t mat_mask = 0;
+  for (size_t i = begin; i < begin + mats; ++i) {
+    comp_mask |= uint32_t{1} << sigma[i].vertex;
+    mat_mask |= uint32_t{1} << sigma[i + mats].vertex;
+  }
+  if (comp_mask != mat_mask) return;
+  for (size_t i = begin + 1; i < begin + mats; ++i) {
+    const int b = sigma[i].vertex;
+    const Operands& ops = plan->operands[static_cast<size_t>(b)];
+    if (!ops.k1.empty() || ops.k2 != std::vector<int>{a} ||
+        plan->comp_lower[static_cast<size_t>(b)] != 0 ||
+        plan->comp_upper[static_cast<size_t>(b)] != 0) {
+      return;
+    }
+  }
+  std::vector<int> vertices;
+  for (size_t i = begin + mats; i < num_ops; ++i) {
+    const int u = sigma[i].vertex;
+    if (plan->pattern.Label(u) != 0 ||
+        !plan->non_adjacent[static_cast<size_t>(u)].empty()) {
+      return;
+    }
+    vertices.push_back(u);
+  }
+  // MAT(s1)'s bounds are all on bound vertices; MAT(s2) must have the same
+  // ones, plus at most the constraint between s1 and s2.
+  const int s1 = vertices[0];
+  const uint32_t window_lower = Mask(plan->lower_bounds[static_cast<size_t>(s1)]);
+  const uint32_t window_upper = Mask(plan->upper_bounds[static_cast<size_t>(s1)]);
+  bool ordered = false;
+  if (mats == 2) {
+    const int s2 = vertices[1];
+    const uint32_t s1_bit = uint32_t{1} << s1;
+    const uint32_t lower = Mask(plan->lower_bounds[static_cast<size_t>(s2)]);
+    const uint32_t upper = Mask(plan->upper_bounds[static_cast<size_t>(s2)]);
+    if ((lower & ~s1_bit) != window_lower || (upper & ~s1_bit) != window_upper) {
+      return;
+    }
+    ordered = ((lower | upper) & s1_bit) != 0;
+  }
+  const uint32_t trim_lower = plan->comp_lower[static_cast<size_t>(a)];
+  const uint32_t trim_upper = plan->comp_upper[static_cast<size_t>(a)];
+  if ((num_operands > 1 || mats > 1) &&
+      ((window_lower & ~trim_lower) != 0 || (window_upper & ~trim_upper) != 0)) {
+    return;
+  }
+
+  // Exclusion. above[x]: bound vertices y with phi(x) < phi(y) implied by
+  // constraints between bound vertices alone (each already checked).
+  const int n = plan->pattern.NumVertices();
+  const uint32_t bound = ((n == 32 ? 0 : uint32_t{1} << n) - 1) & ~mat_mask;
+  std::vector<uint32_t> above(static_cast<size_t>(n), 0);
+  for (const auto& [x, y] : plan->partial_order) {
+    if (((bound >> x) & (bound >> y) & 1u) != 0) {
+      above[static_cast<size_t>(x)] |= uint32_t{1} << y;
+    }
+  }
+  for (int k = 0; k < n; ++k) {
+    for (int i = 0; i < n; ++i) {
+      if ((above[static_cast<size_t>(i)] >> k) & 1u) {
+        above[static_cast<size_t>(i)] |= above[static_cast<size_t>(k)];
+      }
+    }
+  }
+  // The engine's window is [lo, hi) with lo past every lower bound and hi
+  // at the smallest upper bound: a vertex at or below a lower bound, or at
+  // or above an upper one, is outside it.
+  const uint32_t lower = window_lower | trim_lower;
+  const uint32_t upper = window_upper | trim_upper;
+  uint32_t past_upper = upper;
+  for (int y = 0; y < n; ++y) {
+    if ((upper >> y) & 1u) past_upper |= above[static_cast<size_t>(y)];
+  }
+  uint32_t excluded = (NeighborhoodOperands(*plan, a) | past_upper) & bound;
+  for (int x = 0; x < n; ++x) {
+    const uint32_t bit = uint32_t{1} << x;
+    if ((bound & bit) != 0 &&
+        ((bit | above[static_cast<size_t>(x)]) & lower) != 0) {
+      excluded |= bit;
+    }
+  }
+  plan->suffix.set_vertex = a;
+  plan->suffix.vertices = std::move(vertices);
+  plan->suffix.ordered = ordered;
+  plan->suffix.excluded = excluded;
+}
+
 ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
                        const PlanOptions& options,
                        PartialOrder partial_order) {
@@ -226,6 +354,7 @@ ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
   plan.partial_order = std::move(partial_order);
   WireConstraints(&plan);
   WireInducedChecks(&plan);
+  WireCountingSuffix(&plan);
   return plan;
 }
 
@@ -358,6 +487,21 @@ std::string ExecutionPlan::ToString() const {
       if ((upper >> y) & 1u) out += " <u" + std::to_string(y);
     }
     out += "\n";
+  }
+  if (!suffix.empty()) {
+    const size_t j = suffix.vertices.size();
+    out += "suffix:";
+    for (int u : suffix.vertices) out += " u" + std::to_string(u);
+    out += " over C(u" + std::to_string(suffix.set_vertex) + "), count ";
+    out += j == 1 ? "m" : suffix.ordered ? "C(m,2)" : "m(m-1)";
+    out += ", excluded {";
+    bool first = true;
+    for (int x = 0; x < pattern.NumVertices(); ++x) {
+      if (((suffix.excluded >> x) & 1u) == 0) continue;
+      out += (first ? "u" : ",u") + std::to_string(x);
+      first = false;
+    }
+    out += "}\n";
   }
   if (!counted_tail.empty()) {
     out += "counted tail:";

@@ -129,6 +129,42 @@ struct PlanOptions {
   std::string CacheKey() const;
 };
 
+/// The counting suffix of a plan: sigma ends in
+///   MAT(p) COMP(a) [COMP(b)] MAT(s1) [MAT(s2)]
+/// where {s1, s2} = {a, b}, b (if any) is an alias that reads C(a) through
+/// its single K2 operand with no trim of its own, and p lies outside the
+/// suffix. Each of the j <= 2 trailing MATs walks the same set, C(a) within
+/// one shared window, so a counting run needs only m, the number of window
+/// elements of C(a) not already bound: the count is m (j = 1), C(m,2) (j = 2,
+/// the partial order orders s1 and s2) or m(m-1) (j = 2, unordered). The
+/// engine computes m with a count-only intersection from MAT(p)'s loop
+/// instead of storing C(a) and dispatching its MATs (engine/enumerator.h).
+///
+/// Recorded only when the suffix vertices carry wildcard labels and no
+/// induced non-edge checks, when the MATs share their bounds on outside
+/// vertices, and, unless COMP(a) has one operand and no alias reads it,
+/// when COMP(a)'s trim already holds every one of those bounds (then the
+/// count-only intersection sees exactly the operands the stored one would).
+struct CountingSuffix {
+  /// a; -1 when the plan has no counting suffix.
+  int set_vertex = -1;
+  /// The suffix MAT vertices, in sigma order (j = vertices.size()).
+  std::vector<int> vertices;
+  /// j = 2: the partial order orders the two MATs, so the count is C(m,2)
+  /// rather than m(m-1).
+  bool ordered = false;
+  /// Bitmask of the bound (non-suffix) vertices that can never lie in the
+  /// counted window of C(a): K1 operands of COMP(a) or of a set it reads
+  /// through K2 (N(v) never holds v), and vertices the partial order,
+  /// closed over bound vertices, puts at or past a window bound. The engine
+  /// subtracts only the other bound vertices from m, and only when present.
+  uint32_t excluded = 0;
+
+  bool empty() const { return set_vertex < 0; }
+  /// Index in sigma of COMP(a): the suffix is the last 2j operations.
+  size_t BeginOp(size_t num_ops) const { return num_ops - 2 * vertices.size(); }
+};
+
 /// The compiled, immutable artifact the enumeration engine executes: the
 /// enumeration order pi, the execution order sigma, per-vertex operands
 /// (K1/K2), and symmetry-breaking constraints wired to the MAT operation at
@@ -171,6 +207,8 @@ struct ExecutionPlan {
   /// sizes (minus already-bound vertices) into the count instead of
   /// recursing. Empty for ordinary plans.
   std::vector<int> counted_tail;
+  /// Counting suffix (see CountingSuffix); empty for counted-tail plans.
+  CountingSuffix suffix;
 
   int FirstVertex() const { return pi[0]; }
   bool HasCountedTail() const { return !counted_tail.empty(); }
