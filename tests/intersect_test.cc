@@ -102,6 +102,29 @@ TEST_P(KernelTest, DisjointSetsReturnEmpty) {
   EXPECT_EQ(IntersectSorted(a, b, out.data(), GetParam()), 0u);
 }
 
+TEST_P(KernelTest, ExactSizeOutputAndCountOnlyTwin) {
+  // Every kernel must write only out[0, result): an `out` sized exactly
+  // min(|a|, |b|) sits flush against the heap redzone under ASan. The
+  // count-only route must agree with the stored result size.
+  std::vector<VertexID> odd;
+  std::vector<VertexID> all;
+  for (VertexID i = 1; i <= 16; ++i) {
+    if (i % 2 == 1) odd.push_back(i);
+    all.push_back(i);
+  }
+  const auto big_a = RandomSortedSet(300, 700, 91);
+  const auto big_b = RandomSortedSet(310, 700, 92);
+  const std::pair<std::vector<VertexID>, std::vector<VertexID>> cases[] = {
+      {odd, all}, {all, all}, {big_a, big_b}, {big_a, big_a}};
+  for (const auto& [a, b] : cases) {
+    const size_t expected = ReferenceIntersect(a, b).size();
+    std::vector<VertexID> out(std::min(a.size(), b.size()));
+    EXPECT_EQ(IntersectSorted(a, b, out.data(), GetParam()), expected);
+    EXPECT_EQ(IntersectSortedCount(a, b, GetParam()), expected);
+    EXPECT_EQ(IntersectSortedCount(b, a, GetParam()), expected);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelTest,
                          ::testing::ValuesIn(AllKernels()),
                          [](const ::testing::TestParamInfo<IntersectKernel>& i) {
