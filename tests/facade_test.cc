@@ -250,6 +250,36 @@ TEST(FacadeTest, CountStrategyAutoMatchesEnumeration) {
             light::Run(g, star, enumerate).num_matches);
 }
 
+TEST(FacadeTest, CountStrategyAutoKeepsEnumerateWhenTheSuffixClosesTheTail) {
+  // P2's IEP tail {u1, u3} is exactly its plan's counting suffix (one
+  // intersection per kernel embedding, closed as C(m,2)), so auto enumerates;
+  // star5's five-vertex tail is beyond any suffix, so auto takes IEP. A
+  // serial enumerate run executes one range, an IEP run one per term.
+  const Graph g = TestGraph();
+  for (const char* name : {"P2", "star5"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    RunOptions enumerate;
+    enumerate.threads = 1;
+    RunOptions aut = enumerate;
+    aut.plan_options.count_strategy = CountStrategy::kAuto;
+    const RunResult expected = light::Run(g, pattern, enumerate);
+    const RunResult chosen = light::Run(g, pattern, aut);
+    ASSERT_TRUE(chosen.ok()) << name << ": " << chosen.error;
+    EXPECT_EQ(chosen.num_matches, expected.num_matches) << name;
+    if (std::string(name) == "P2") {
+      EXPECT_EQ(chosen.query_stats.ranges_executed, 1u) << name;
+    } else {
+      EXPECT_GT(chosen.query_stats.ranges_executed, 1u) << name;
+    }
+    RunOptions aut_parallel = aut;
+    aut_parallel.threads = 4;
+    EXPECT_EQ(light::Run(g, pattern, aut_parallel).num_matches,
+              expected.num_matches)
+        << name;
+  }
+}
+
 TEST(FacadeTest, CoOptimizedRestrictionsMatchDefaultPlan) {
   const Graph g = TestGraph();
   for (const char* name : {"square", "diamond", "house"}) {
