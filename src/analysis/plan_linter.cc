@@ -509,6 +509,146 @@ void CheckAutomorphismConsistency(const Pattern& pattern,
   }
 }
 
+// --- Counting suffix ---------------------------------------------------------
+
+/// ExecutionPlan::suffix must describe a tail the engine can count without
+/// storing C(a): the shape, the alias reads, the shared window, the
+/// ordered flag and every static exclusion are re-derived here.
+void CheckCountingSuffix(const Pattern& pattern, const ExecutionPlan& plan,
+                         LintReport* report) {
+  const CountingSuffix& suffix = plan.suffix;
+  if (suffix.empty()) return;
+  const int n = pattern.NumVertices();
+  const int a = suffix.set_vertex;
+  auto fail = [&](const std::string& what) {
+    report->Add(LintSeverity::kError, "count-suffix",
+                "counting suffix over C(" + VertexName(a) + "): " + what, a);
+  };
+  const size_t j = suffix.vertices.size();
+  const size_t ops = plan.sigma.size();
+  if (plan.HasCountedTail()) return fail("a counted-tail plan has no suffix");
+  if (a >= n || j < 1 || j > 2 || ops < 2 * j + 1) {
+    return fail("j must be 1 or 2 and sigma must hold MAT(p) before it");
+  }
+  uint32_t in_suffix = 0;
+  for (int u : suffix.vertices) {
+    if (u < 0 || u >= n) return fail("suffix vertex out of range");
+    in_suffix |= 1u << u;
+  }
+  const size_t begin = ops - 2 * j;
+  const Operation& parent = plan.sigma[begin - 1];
+  if (parent.type != OpType::kMaterialize ||
+      ((in_suffix >> parent.vertex) & 1u) != 0) {
+    return fail("the op before the suffix must bind a vertex outside it");
+  }
+  uint32_t comps = 0;
+  for (size_t i = 0; i < j; ++i) {
+    const Operation& comp = plan.sigma[begin + i];
+    const Operation& mat = plan.sigma[begin + j + i];
+    if (comp.type != OpType::kCompute || mat.type != OpType::kMaterialize ||
+        mat.vertex != suffix.vertices[i]) {
+      return fail("sigma does not end COMP(a), its aliases, then the MATs");
+    }
+    comps |= 1u << comp.vertex;
+  }
+  if (plan.sigma[begin].vertex != a || comps != in_suffix) {
+    return fail("COMP(a) must precede its aliases and the suffix MATs");
+  }
+  const Operands& set_ops = plan.operands[static_cast<size_t>(a)];
+  if (set_ops.k1.empty() && set_ops.k2.empty()) {
+    return fail("C(a) is the whole vertex set");
+  }
+  for (size_t i = 1; i < j; ++i) {
+    const int b = plan.sigma[begin + i].vertex;
+    const Operands& ops_b = plan.operands[static_cast<size_t>(b)];
+    if (!ops_b.k1.empty() || ops_b.k2 != std::vector<int>{a} ||
+        plan.comp_lower[static_cast<size_t>(b)] != 0 ||
+        plan.comp_upper[static_cast<size_t>(b)] != 0) {
+      fail(VertexName(b) + " is not an untrimmed single-K2 read of C(a)");
+    }
+  }
+  for (int u : suffix.vertices) {
+    if (pattern.Label(u) != 0 ||
+        !plan.non_adjacent[static_cast<size_t>(u)].empty()) {
+      fail(VertexName(u) + " has a label or an induced non-edge check");
+    }
+  }
+  auto mask = [](const std::vector<int>& v) {
+    uint32_t m = 0;
+    for (int x : v) m |= 1u << x;
+    return m;
+  };
+  const int s1 = suffix.vertices[0];
+  const uint32_t lower = mask(plan.lower_bounds[static_cast<size_t>(s1)]);
+  const uint32_t upper = mask(plan.upper_bounds[static_cast<size_t>(s1)]);
+  bool ordered = false;
+  if (j == 2) {
+    const int s2 = suffix.vertices[1];
+    const uint32_t bit = 1u << s1;
+    if ((mask(plan.lower_bounds[static_cast<size_t>(s2)]) & ~bit) != lower ||
+        (mask(plan.upper_bounds[static_cast<size_t>(s2)]) & ~bit) != upper) {
+      fail("the two MATs do not share their bounds on outside vertices");
+    }
+    for (const auto& [x, y] : plan.partial_order) {
+      ordered |= (x == s1 && y == s2) || (x == s2 && y == s1);
+    }
+  }
+  if (ordered != suffix.ordered) {
+    fail(std::string("the ordered flag says ") +
+         (suffix.ordered ? "C(m,2)" : "m(m-1)") +
+         " but the partial order says otherwise");
+  }
+  const uint32_t trim_lower = plan.comp_lower[static_cast<size_t>(a)];
+  const uint32_t trim_upper = plan.comp_upper[static_cast<size_t>(a)];
+  if ((set_ops.k1.size() + set_ops.k2.size() > 1 || j > 1) &&
+      ((lower & ~trim_lower) != 0 || (upper & ~trim_upper) != 0)) {
+    fail("COMP(a)'s trim lacks a MAT bound, so its routes could differ");
+  }
+  // Exclusions: a K1 operand of COMP(a) or of a set it reads through K2, or
+  // a bound vertex the constraints among bound vertices place at or past a
+  // window bound (DFS over those constraints).
+  uint32_t neighborhoods = 0;
+  std::vector<int> reads = {a};
+  while (!reads.empty()) {
+    const int y = reads.back();
+    reads.pop_back();
+    const Operands& ops_y = plan.operands[static_cast<size_t>(y)];
+    neighborhoods |= mask(ops_y.k1);
+    reads.insert(reads.end(), ops_y.k2.begin(), ops_y.k2.end());
+  }
+  const uint32_t bound = ~in_suffix;
+  auto reaches = [&](int from, uint32_t targets, bool upward) {
+    std::vector<int> stack = {from};
+    uint32_t seen = 1u << from;
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      if ((targets >> v) & 1u) return true;
+      for (const auto& [x, y] : plan.partial_order) {
+        const int next = upward ? (x == v ? y : -1) : (y == v ? x : -1);
+        if (next < 0 || ((bound >> next) & 1u) == 0 || ((seen >> next) & 1u)) {
+          continue;
+        }
+        seen |= 1u << next;
+        stack.push_back(next);
+      }
+    }
+    return false;
+  };
+  for (int x = 0; x < kMaxPatternVertices; ++x) {
+    if (((suffix.excluded >> x) & 1u) == 0) continue;
+    if (x >= n || ((in_suffix >> x) & 1u) != 0) {
+      fail("excluded " + VertexName(x) + " is not a bound vertex");
+    } else if (((neighborhoods >> x) & 1u) == 0 &&
+               !reaches(x, lower | trim_lower, /*upward=*/true) &&
+               !reaches(x, upper | trim_upper, /*upward=*/false)) {
+      fail("excluded " + VertexName(x) +
+           " is neither a K1 operand of C(a) nor provably outside the "
+           "window: the count would miss its injectivity check");
+    }
+  }
+}
+
 // --- Candidate-computation (set cover) rules -------------------------------
 
 void CheckOperands(const Pattern& pattern, const ExecutionPlan& plan,
@@ -867,6 +1007,7 @@ LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
     }
   }
 
+  CheckCountingSuffix(p, plan, &report);
   CheckOperands(p, plan, sigma, options, &report);
   CheckInducedWiring(p, plan, sigma, &report);
   CheckCardinality(p, plan, options, &report);

@@ -28,6 +28,13 @@
 ///                         COMP, or the partial order's closure does not
 ///                         order it against the vertex and every K2 reader
 ///                         of its candidate set (kills valid embeddings)
+///   count-suffix          the counting suffix (ExecutionPlan::suffix) is
+///                         malformed or unsound: not COMP(a), untrimmed
+///                         single-K2 aliases, then j <= 2 MATs after a MAT
+///                         of an outside vertex; MATs with different outside
+///                         bounds; an ordered flag the partial order does
+///                         not back; a trim lacking a MAT bound; or an
+///                         excluded vertex that could lie in the window
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving

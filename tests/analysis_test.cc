@@ -199,6 +199,55 @@ TEST(AnalysisTest, UnsoundTrimIsCaught) {
   EXPECT_TRUE(HasRule(LintPlan(p3, plain, TestOptions()), "sb-trim"));
 }
 
+TEST(AnalysisTest, UnsoundCountingSuffixIsCaught) {
+  // P2 under pi = (0, 2, 1, 3): u1 and u3 both walk C(u1) = N(u0) ∩ N(u2),
+  // ordered by u1 < u3, with u0 and u2 excluded as K1 operands.
+  Pattern p2;
+  ASSERT_TRUE(FindPattern("P2", &p2).ok());
+  const ExecutionPlan sound =
+      BuildPlanWithOrder(p2, {0, 2, 1, 3}, PlanOptions::Light());
+  ASSERT_EQ(sound.suffix.vertices.size(), 2u) << sound.ToString();
+  ASSERT_TRUE(sound.suffix.ordered);
+  EXPECT_TRUE(LintPlan(p2, sound, TestOptions()).ok())
+      << LintPlan(p2, sound, TestOptions()).ToString();
+
+  // An unordered flag would count m(m-1): every diamond twice.
+  ExecutionPlan flipped = sound;
+  flipped.suffix.ordered = false;
+  EXPECT_TRUE(HasRule(LintPlan(p2, flipped, TestOptions()), "count-suffix"));
+
+  // Without symmetry breaking the pair is unordered.
+  PlanOptions unbroken = PlanOptions::Light();
+  unbroken.symmetry_breaking = false;
+  const ExecutionPlan plain = BuildPlanWithOrder(p2, {0, 2, 1, 3}, unbroken);
+  ASSERT_FALSE(plain.suffix.empty());
+  EXPECT_FALSE(plain.suffix.ordered);
+  EXPECT_TRUE(LintPlan(p2, plain, TestOptions()).ok());
+
+  // A suffix that claims the wrong set vertex, and one over j = 3.
+  ExecutionPlan wrong_set = sound;
+  wrong_set.suffix.set_vertex = 3;
+  EXPECT_TRUE(HasRule(LintPlan(p2, wrong_set, TestOptions()), "count-suffix"));
+  ExecutionPlan too_long = sound;
+  too_long.suffix.vertices.push_back(2);
+  EXPECT_TRUE(HasRule(LintPlan(p2, too_long, TestOptions()), "count-suffix"));
+
+  // House (P4) under pi = (0, 4, 3, 2, 1): C(u1) = N(u0) ∩ N(u2) always
+  // holds phi(u3) (a common neighbor of u0 and u2), so excluding u3 would
+  // count it as a candidate for u1.
+  Pattern p4;
+  ASSERT_TRUE(FindPattern("P4", &p4).ok());
+  const ExecutionPlan house =
+      BuildPlanWithOrder(p4, {0, 4, 3, 2, 1}, PlanOptions::Light());
+  ASSERT_FALSE(house.suffix.empty()) << house.ToString();
+  ASSERT_EQ((house.suffix.excluded >> 3) & 1u, 0u) << house.ToString();
+  EXPECT_TRUE(LintPlan(p4, house, TestOptions()).ok());
+  ExecutionPlan overexcluded = house;
+  overexcluded.suffix.excluded |= 1u << 3;
+  const LintReport report = LintPlan(p4, overexcluded, TestOptions());
+  EXPECT_TRUE(HasRule(report, "count-suffix")) << report.ToString();
+}
+
 TEST(AnalysisTest, TrimIgnoringAK2ReaderIsCaught) {
   // K4 under pi = (0, 1, 2, 3) with only 0 < 1 < 2 enforced: C(u3) is read
   // from C(u2) through K2, and nothing orders u3, so the plan leaves C(u2)
