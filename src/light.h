@@ -465,6 +465,23 @@ class Session {
   /// and returns its admit time, the anchor of its deadline.
   uint64_t Admit(uint64_t* query_id) LIGHT_EXCLUDES(stats_mutex_);
 
+  /// A query admitted and its plan resolved before its route was chosen
+  /// (count strategy auto reads the plan to pick enumerate or IEP). The
+  /// route it takes reports this query id, admit time and plan resolve.
+  struct Admission {
+    uint64_t query_id = 0;
+    uint64_t admit_ns = 0;
+    std::shared_ptr<const ExecutionPlan> plan_holder;
+    /// Null on a lint failure, with `error` set.
+    const ExecutionPlan* plan = nullptr;
+    bool plan_cache_hit = false;
+    uint64_t plan_ns = 0;
+    std::string error;
+  };
+  /// ResolvePlan into `admission`, timing it into plan_ns.
+  void ResolveAdmitted(const Pattern& pattern, const RunOptions& opts,
+                       Admission* admission) LIGHT_EXCLUDES(cache_mutex_);
+
   /// Resolves the plan a query runs: the caller's override (opts.plan)
   /// after a structural lint, or the plan-cache entry for the pattern's
   /// canonical key (built and linted on a miss). With caching off
@@ -487,13 +504,17 @@ class Session {
   void CacheInsert(std::string key, std::shared_ptr<const ExecutionPlan> plan,
                    bool linted) LIGHT_EXCLUDES(cache_mutex_);
 
+  /// SubmitInternal, RunSerial and RunIep admit the query themselves, or
+  /// take over `admitted` (RunIep uses its id and admit time only; the
+  /// others also its plan).
   Ticket SubmitInternal(const Pattern& pattern, const RunOptions& options,
                         const char* tool,
-                        std::function<void(const RunResult&)> callback);
+                        std::function<void(const RunResult&)> callback,
+                        const Admission* admitted = nullptr);
   RunResult RunSyncWithTool(const Pattern& pattern, const RunOptions& options,
                             const char* tool);
   RunResult RunSerial(const Pattern& pattern, const RunOptions& opts,
-                      const char* tool);
+                      const char* tool, const Admission* admitted = nullptr);
   /// Inclusion–exclusion counting driver (plan/iep.h): resolves one
   /// counted-tail plan per term through the plan cache, counts each term
   /// (inline when opts.threads == 1, else as plan-override pool queries),
@@ -501,7 +522,8 @@ class Session {
   /// opts.unique_subgraphs. `opts` is normalized and IEP-eligible (no
   /// visitor, not induced, no plan override) and `dec` is valid.
   RunResult RunIep(const Pattern& pattern, const IepDecomposition& dec,
-                   const RunOptions& opts, const char* tool);
+                   const RunOptions& opts, const char* tool,
+                   const Admission* admitted = nullptr);
   /// ResolvePlan's counterpart for IEP term plans, through the same cache
   /// helpers: cache key = "iep-term:" + exact term structure (term sharing
   /// requires identical submitter numbering — canonical-form sharing would

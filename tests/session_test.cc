@@ -364,6 +364,57 @@ TEST(SessionTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_cache_misses, 3u);
 }
 
+TEST(SessionTest, CountStrategyAutoChargesItsPlanToTheQuery) {
+  // Under count strategy auto, P2's plan decides between enumerate and IEP,
+  // so it is resolved after admission: the query that builds the plan
+  // reports the miss and the build time, the next one the hit, and each is
+  // admitted once. A labeled tail never takes the counting suffix, so auto
+  // goes to IEP without resolving an enumerate plan.
+  const Graph g = TestGraph();
+  const Pattern p2 = Named("P2");
+  RunOptions serial;
+  serial.threads = 1;
+  const uint64_t expected = light::Run(g, p2, serial).num_matches;
+  for (int threads : {1, 4}) {
+    Session session(g, {});
+    RunOptions aut;
+    aut.threads = threads;
+    aut.plan_options.count_strategy = CountStrategy::kAuto;
+    const RunResult cold = session.RunSync(p2, aut);
+    const RunResult hot = session.RunSync(p2, aut);
+    ASSERT_TRUE(cold.ok()) << cold.error;
+    ASSERT_TRUE(hot.ok()) << hot.error;
+    EXPECT_EQ(cold.num_matches, expected) << threads;
+    EXPECT_EQ(hot.num_matches, expected) << threads;
+    EXPECT_FALSE(cold.query_stats.plan_cache_hit) << threads;
+    EXPECT_TRUE(hot.query_stats.plan_cache_hit) << threads;
+    EXPECT_GT(cold.query_stats.plan_ns, 0u) << threads;
+    EXPECT_GE(cold.query_stats.total_ns, cold.query_stats.plan_ns) << threads;
+    EXPECT_NE(cold.query_stats.query_id, hot.query_stats.query_id);
+    const SessionStats stats = session.stats();
+    EXPECT_EQ(stats.queries_submitted, 2u) << threads;
+    EXPECT_EQ(stats.plan_cache_misses, 1u) << threads;
+    EXPECT_EQ(stats.plan_cache_hits, 1u) << threads;
+  }
+
+  std::vector<uint32_t> labels(g.NumVertices());
+  for (size_t v = 0; v < labels.size(); ++v) labels[v] = 1 + v % 2;
+  Pattern labeled = p2;
+  for (int u = 0; u < labeled.NumVertices(); ++u) labeled.SetLabel(u, 1);
+  RunOptions enumerate = serial;
+  enumerate.data_labels = &labels;
+  RunOptions aut = enumerate;
+  aut.plan_options.count_strategy = CountStrategy::kAuto;
+  Session session(g, {});
+  const RunResult chosen = session.RunSync(labeled, aut);
+  ASSERT_TRUE(chosen.ok()) << chosen.error;
+  EXPECT_EQ(chosen.num_matches,
+            light::Run(g, labeled, enumerate).num_matches);
+  EXPECT_GT(chosen.query_stats.ranges_executed, 1u);  // one per IEP term
+  EXPECT_EQ(session.stats().plan_cache_misses, 0u);
+  EXPECT_EQ(session.stats().queries_submitted, 1u);
+}
+
 TEST(SessionTest, IepTermPlansShareABoundedPlanCache) {
   // Inclusion–exclusion term plans go through the session plan cache
   // (exact "iep-term:" keys) alongside pattern plans. A cache smaller than
