@@ -41,6 +41,38 @@ uint64_t Get64(const uint8_t* p) {
   return v;
 }
 
+/// Checks a fully read CSR before it becomes a Graph: offsets monotone from
+/// 0 to |neighbors|, and every row strictly increasing, in range and free of
+/// its own vertex. The engine relies on all of it: kernels merge sorted
+/// rows, and the counting suffix never looks for v in N(v).
+Status ValidateCsr(const std::vector<EdgeID>& offsets,
+                   const std::vector<VertexID>& neighbors,
+                   const std::string& origin) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != neighbors.size()) {
+    return Status::InvalidArgument("inconsistent CSR arrays in " + origin);
+  }
+  const uint64_t n = offsets.size() - 1;
+  for (uint64_t v = 0; v < n; ++v) {
+    if (offsets[v + 1] < offsets[v]) {
+      return Status::InvalidArgument("non-monotone offsets in " + origin);
+    }
+    for (EdgeID e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const VertexID w = neighbors[e];
+      if (w == v) {
+        return Status::InvalidArgument("self-loop at vertex " +
+                                       std::to_string(v) + " in " + origin);
+      }
+      if (w >= n || (e > offsets[v] && neighbors[e - 1] >= w)) {
+        return Status::InvalidArgument(
+            "unsorted or out-of-range adjacency of vertex " +
+            std::to_string(v) + " in " + origin);
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status LoadEdgeList(const std::string& path, Graph* out) {
@@ -140,9 +172,7 @@ Status LoadBinary(const std::string& path, Graph* out) {
                               file.get()) != slots) {
     return Status::IOError("truncated neighbors in " + path);
   }
-  if (offsets.back() != slots) {
-    return Status::InvalidArgument("inconsistent CSR arrays in " + path);
-  }
+  LIGHT_RETURN_IF_ERROR(ValidateCsr(offsets, neighbors, path));
   *out = Graph(std::move(offsets), std::move(neighbors));
   return Status::OK();
 }
@@ -348,9 +378,7 @@ Status LoadStoreFile(const std::string& path, Graph* out,
            h.slots)) {
     return Status::IOError("truncated neighbors in " + path);
   }
-  if (offsets.front() != 0 || offsets.back() != h.slots) {
-    return Status::InvalidArgument("inconsistent CSR arrays in " + path);
-  }
+  LIGHT_RETURN_IF_ERROR(ValidateCsr(offsets, neighbors, path));
   if (labels != nullptr) {
     labels->clear();
     if ((h.flags & kLcsr2FlagLabels) != 0) {

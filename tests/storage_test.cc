@@ -451,6 +451,56 @@ TEST(GraphIoTest, RejectsGarbageAndTruncation) {
   std::remove(cut_path.c_str());
 }
 
+TEST(GraphIoTest, HeapLoadsRejectSelfLoopsAndUnsortedRows) {
+  // A snapshot whose adjacency holds a self-loop (vertex 0's first
+  // neighbor rewritten to 0) or an unsorted row is rejected by every loader
+  // that reads adjacency: engine kernels merge sorted rows, and the
+  // counting suffix never looks for v in N(v).
+  const Graph g = TestGraph();
+  ASSERT_GT(g.Degree(0), 1u);
+  const std::string v1_path = TempPath("selfloop.lcsr");
+  const std::string v2_path = TempPath("selfloop.lcsr2");
+  ASSERT_TRUE(SaveBinary(g, v1_path).ok());
+  ASSERT_TRUE(SaveStoreFile(g, v2_path).ok());
+  Lcsr2Header header;
+  ASSERT_TRUE(ReadLcsr2Header(v2_path, &header).ok());
+  // LCSR v1: magic, u32 version, u64 N, u64 slots, offsets, neighbors.
+  const uint64_t v1_neighbors =
+      4 + 4 + 8 + 8 + (uint64_t{g.NumVertices()} + 1) * sizeof(EdgeID);
+  const auto overwrite = [](const std::string& path, uint64_t offset,
+                            VertexID value) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const VertexID first = g.Neighbors(0)[0];
+  const VertexID second = g.Neighbors(0)[1];
+  for (const auto& [value, what] :
+       {std::pair<VertexID, const char*>{0, "self-loop"},
+        std::pair<VertexID, const char*>{second, "unsorted"}}) {
+    overwrite(v1_path, v1_neighbors, value);
+    overwrite(v2_path, header.neighbors_off, value);
+    Graph out;
+    const Status v1 = LoadBinary(v1_path, &out);
+    const Status v2 = LoadStoreFile(v2_path, &out);
+    EXPECT_FALSE(v1.ok()) << what;
+    EXPECT_FALSE(v2.ok()) << what;
+    EXPECT_NE(v2.ToString().find(what), std::string::npos) << v2.ToString();
+    std::shared_ptr<const GraphStore> store;
+    GraphStore::OpenOptions heap;
+    heap.mode = GraphStore::Mode::kHeap;
+    EXPECT_FALSE(GraphStore::Open(v2_path, heap, &store).ok()) << what;
+  }
+  // Restored, both load again.
+  overwrite(v1_path, v1_neighbors, first);
+  overwrite(v2_path, header.neighbors_off, first);
+  Graph out;
+  EXPECT_TRUE(LoadBinary(v1_path, &out).ok());
+  EXPECT_TRUE(LoadStoreFile(v2_path, &out).ok());
+  std::remove(v1_path.c_str());
+  std::remove(v2_path.c_str());
+}
+
 TEST(GraphIoTest, SaveReplacesSnapshotWithoutDisturbingItsReaders) {
   // Re-saving a path a store is serving from must not truncate the mapped
   // file under it (SIGBUS on the next query): the save writes a new file
