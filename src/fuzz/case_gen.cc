@@ -85,16 +85,7 @@ Pattern SamplePattern(Rng* rng, const CaseLimits& limits) {
 }
 
 IntersectKernel SampleKernel(Rng* rng) {
-  static const IntersectKernel kAll[] = {
-      IntersectKernel::kMerge,        IntersectKernel::kMergeAvx2,
-      IntersectKernel::kGalloping,    IntersectKernel::kBinarySearch,
-      IntersectKernel::kHybrid,       IntersectKernel::kHybridAvx2,
-      IntersectKernel::kMergeAvx512,  IntersectKernel::kHybridAvx512,
-  };
-  std::vector<IntersectKernel> available;
-  for (IntersectKernel k : kAll) {
-    if (KernelAvailable(k)) available.push_back(k);
-  }
+  const std::vector<IntersectKernel> available = AvailableKernels();
   return available[rng->NextBounded(available.size())];
 }
 
@@ -126,6 +117,20 @@ ParallelOptions SampleParallelOptions(Rng* rng, const CaseLimits& limits) {
 }
 
 }  // namespace
+
+std::vector<IntersectKernel> AvailableKernels() {
+  static const IntersectKernel kAll[] = {
+      IntersectKernel::kMerge,        IntersectKernel::kMergeAvx2,
+      IntersectKernel::kGalloping,    IntersectKernel::kBinarySearch,
+      IntersectKernel::kHybrid,       IntersectKernel::kHybridAvx2,
+      IntersectKernel::kMergeAvx512,  IntersectKernel::kHybridAvx512,
+  };
+  std::vector<IntersectKernel> available;
+  for (IntersectKernel k : kAll) {
+    if (KernelAvailable(k)) available.push_back(k);
+  }
+  return available;
+}
 
 Graph FuzzCase::BuildGraph() const {
   return GraphBuilder::FromEdges(edges, num_vertices);
